@@ -15,10 +15,9 @@
 // 100k-node degree-3 graph whose real locality is hidden behind scrambled
 // ids, across the WithRelabeling layouts, plus the pooled zero-allocation
 // SingleSourceInto loop (with and without a live Observer — the "obs"
-// member reports the instrumentation overhead) and a 64-query blocked
-// batch. The "scaling" member repeats the pooled loop with
-// WithParallelSweeps(-1) to record the intra-query fan-out speedup for
-// the runner's core count.
+// member reports the instrumentation overhead) and a 64-query batch. The
+// "scaling" member repeats the pooled loop with WithParallelSweeps(-1) to
+// record the intra-query fan-out speedup for the runner's core count.
 package main
 
 import (

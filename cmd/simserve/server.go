@@ -775,8 +775,8 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		tr = &obs.Trace{Node: -1, Queries: len(queries), Epoch: eng.Epoch()}
 	}
 	start := time.Now()
-	// The traced variants record the batch planner's per-group routing in
-	// tr.Plan; with tr nil they are exactly BatchTopK/MultiSource.
+	// The traced variants record the batch's fan-out width in tr.Plan; with
+	// tr nil they are exactly BatchTopK/MultiSource.
 	var results []simstar.Result
 	if topk {
 		results = eng.BatchTopKTrace(ctx, queries, tr)

@@ -489,3 +489,53 @@ func TestScoresAreFinite(t *testing.T) {
 		}
 	}
 }
+
+// An iteration count past the float64-resolution cap is refused with a 400
+// whose message names the cap, on the single, topk and streamed topk
+// endpoints alike, and no kernel runs for it.
+func TestIterationCapAnswers400(t *testing.T) {
+	_, h := newTestServer(t)
+	loadTestGraph(t, h)
+	ok := doJSON(t, h, "POST", "/v1/query/single", json.RawMessage(`{"measure":"gsimrank*","label":"survey","options":{"k":71}}`))
+	if ok.Code != http.StatusOK {
+		t.Fatalf("K at the cap: status %d: %s", ok.Code, ok.Body)
+	}
+	before := scrape(t, h)["simstar_kernel_seconds_count"]
+	if before == 0 {
+		t.Fatal("the served engine records no kernel runs")
+	}
+	for _, c := range []struct{ path, body string }{
+		{"/v1/query/single", `{"measure":"gsimrank*","label":"survey","options":{"k":2000}}`},
+		{"/v1/query/topk", `{"measure":"rwr","label":"survey","k":3,"options":{"k":2000}}`},
+		{"/v1/query/topk", `{"measure":"esimrank*","label":"survey","k":3,"stream":true,"options":{"k":2000}}`},
+	} {
+		rec := doJSON(t, h, "POST", c.path, json.RawMessage(c.body))
+		if rec.Code != http.StatusBadRequest {
+			t.Fatalf("%s %s: status %d, want 400: %s", c.path, c.body, rec.Code, rec.Body)
+		}
+		if !strings.Contains(rec.Body.String(), "cap of 71") {
+			t.Fatalf("%s: error does not name the cap: %s", c.path, rec.Body)
+		}
+	}
+	if after := scrape(t, h)["simstar_kernel_seconds_count"]; after != before {
+		t.Fatalf("kernel runs went from %g to %g for refused queries", before, after)
+	}
+	// Co-citation never iterates, so no K is refused for it.
+	if rec := doJSON(t, h, "POST", "/v1/query/single", json.RawMessage(`{"measure":"cocitation","label":"survey","options":{"k":2000}}`)); rec.Code != http.StatusOK {
+		t.Fatalf("cocitation at k 2000: status %d: %s", rec.Code, rec.Body)
+	}
+	// A damping factor one ulp below 1 raises the cap to ~3.3e17; working it
+	// out must not hold the request, which runs at the default K.
+	done := make(chan *httptest.ResponseRecorder, 1)
+	go func() {
+		done <- doJSON(t, h, "POST", "/v1/query/topk", json.RawMessage(`{"measure":"gsimrank*","label":"survey","k":3,"options":{"c":0.9999999999999999}}`))
+	}()
+	select {
+	case rec := <-done:
+		if rec.Code != http.StatusOK {
+			t.Fatalf("c just below 1: status %d: %s", rec.Code, rec.Body)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("c just below 1: no answer within 10s")
+	}
+}

@@ -7,88 +7,53 @@ import (
 	"repro/internal/sparse"
 )
 
-// Threshold-sieved approximate single-source SimRank*. The exact
-// single-source kernels sweep dense length-n vectors even when almost all
-// of the propagating mass is negligible; these variants keep the walk in a
-// sparse frontier, drop entries below an adaptive threshold each sweep, and
-// charge every drop against an error budget, so the result comes back with
-// a certified element-wise bound:
+// Frontier single-source SimRank*: the kernels the engine serves every
+// single-source, top-k, stream and batch query from. They evaluate the same
+// series as the dense kernels in singlesource.go, but keep every walk
+// vector and accumulator in a sparse frontier, so a sweep costs
+// O(Σ deg(frontier)) instead of O(m) — on a 100k-node hyperlink graph an
+// exact answer touches well under 1% of the nodes.
 //
-//	|approx[i] − exact[i]| <= MaxError <= tol   for every node i,
+// The tolerance decides how much the frontiers may drop:
 //
-// where "exact" is the corresponding dense kernel at the same Options
-// (i.e. the certificate bounds the sieving error, not the series
-// truncation both paths share). The sieve thresholds derive from the
-// geometric tail of the series: dropping mass from the β-th backward walk
-// vector can only reach the output through coefficients whose total weight
-// decays like C^β, so late sweeps tolerate proportionally larger drops.
+//   - tol below sparse.MinCertTolerance (0 included) drops nothing. The
+//     result is then bitwise-equal to the dense kernel at the same Options
+//     and the certificate is 0: the coefficients are the same, and every
+//     sweep visits its sources in ascending order (see
+//     sparse.CSR.ScatterMulT), which is the order the dense sweeps add each
+//     element's terms in.
+//   - a larger tol drops entries below an adaptive threshold each sweep and
+//     charges every drop against an error budget, so the result comes back
+//     with a certified element-wise bound
 //
-// tol below sparse.MinCertTolerance disables dropping entirely; callers
-// that need bitwise equality with the exact kernels should dispatch to
-// those instead (the sparse accumulation order differs in the last few
-// ulps, which is what the certificate's sparse.CertSlack term covers).
+//     |approx[i] − exact[i]| <= MaxError <= tol   for every node i,
+//
+//     where "exact" is the dense kernel at the same Options (the
+//     certificate bounds the sieving error, not the series truncation both
+//     share). The thresholds derive from the geometric tail of the series:
+//     mass dropped from the β-th backward walk vector reaches the output
+//     through coefficients whose total weight decays like C^β, so late
+//     sweeps tolerate proportionally larger drops.
 //
 // Both kernels take the backward transition matrix qm and its materialised
 // transpose qt: backward sweeps scatter through qm's rows, forward sweeps
 // through qt's (a forward product against a sparse frontier needs column
-// access to qm, i.e. rows of qt).
+// access to qm, i.e. rows of qt). Frontiers come from ws, so a pooled
+// workspace makes a query allocation-free.
 
-// ApproxSingleSourceGeometricFromTransition answers one geometric
-// single-source query with threshold sieving. It returns the scores and the
-// certified MaxError bound against SingleSourceGeometricFromTransition.
+// ApproxSingleSourceGeometricFromTransition is SingleSourceGeometricFrontier
+// with a private workspace and a freshly allocated result. Kept because the
+// benchmark module (perfbench) times it by this name.
 func ApproxSingleSourceGeometricFromTransition(ctx context.Context, qm, qt *sparse.CSR, q int, tol float64, opt Options) ([]float64, float64, error) {
-	ws := newApproxGeoWS(qm.R, opt)
-	return ws.run(ctx, qm, qt, q, tol)
-}
-
-// ApproxMultiSourceGeometricFromTransition answers one sieved geometric
-// single-source query per entry of nodes, sharing the kernel workspace
-// across queries (each query gets the full tolerance; certificates are
-// per-query). Result i and MaxError i correspond to nodes[i].
-func ApproxMultiSourceGeometricFromTransition(ctx context.Context, qm, qt *sparse.CSR, nodes []int, tol float64, opt Options) ([][]float64, []float64, error) {
-	ws := newApproxGeoWS(qm.R, opt)
-	out := make([][]float64, len(nodes))
-	errs := make([]float64, len(nodes))
-	for i, q := range nodes {
-		scores, bound, err := ws.run(ctx, qm, qt, q, tol)
-		if err != nil {
-			return nil, nil, err
-		}
-		out[i], errs[i] = scores, bound
+	dst := make([]float64, qm.R)
+	cert, err := SingleSourceGeometricFrontier(ctx, qm, qt, q, tol, opt, nil, dst)
+	if err != nil {
+		return nil, 0, err
 	}
-	return out, errs, nil
+	return dst, cert, nil
 }
 
-// approxGeoWS is the reusable workspace of the sieved geometric kernel: the
-// ping-pong frontiers and the per-α accumulators, all of dimension n, plus
-// the precomputed downstream tail weights.
-type approxGeoWS struct {
-	opt     Options
-	k       int
-	cur     *sparse.Frontier
-	spare   *sparse.Frontier
-	y       []*sparse.Frontier
-	weights []float64
-}
-
-func newApproxGeoWS(n int, opt Options) *approxGeoWS {
-	opt = opt.withDefaults()
-	k := opt.IterationsGeometric()
-	ws := &approxGeoWS{
-		opt:     opt,
-		k:       k,
-		cur:     sparse.NewFrontier(n),
-		spare:   sparse.NewFrontier(n),
-		y:       make([]*sparse.Frontier, k+1),
-		weights: geoTailWeights(k, opt.C),
-	}
-	for alpha := range ws.y {
-		ws.y[alpha] = sparse.NewFrontier(n)
-	}
-	return ws
-}
-
-// geoTailWeights[β] bounds, element-wise on the final scores, the effect of
+// geoTailWeight bounds, element-wise on the final scores, the effect of
 // dropping unit mass from the β-th backward walk vector w_β: the drop
 // propagates to every w_{β'} with β' >= β and from there into the output
 // through the series coefficients, so the weight is
@@ -96,64 +61,62 @@ func newApproxGeoWS(n int, opt Options) *approxGeoWS {
 //	(1−C) · Σ_{β'=β}^{K} Σ_{α=0}^{K−β'} (C/2)^{α+β'} · binom(α+β', α),
 //
 // which is at most C^β (the geometric tail: the α-sum at level l = α+β'
-// telescopes to 2^l, and (1−C)·Σ_{l>=β} C^l <= C^β).
-func geoTailWeights(k int, c float64) []float64 {
+// telescopes to 2^l, and (1−C)·Σ_{l>=β} C^l <= C^β). It is recomputed per
+// sieve point — O(K²) — so the kernel needs no per-query weight table.
+func geoTailWeight(k, beta int, c float64) float64 {
 	half := c / 2
-	w := make([]float64, k+1)
-	for beta := 0; beta <= k; beta++ {
-		var sum float64
-		for bp := beta; bp <= k; bp++ {
-			for alpha := 0; alpha+bp <= k; alpha++ {
-				sum += math.Pow(half, float64(alpha+bp)) * binom(alpha+bp, alpha)
-			}
+	var sum float64
+	for bp := beta; bp <= k; bp++ {
+		for alpha := 0; alpha+bp <= k; alpha++ {
+			sum += math.Pow(half, float64(alpha+bp)) * binom(alpha+bp, alpha)
 		}
-		w[beta] = (1 - c) * sum
 	}
-	return w
+	return (1 - c) * sum
 }
 
-func (ws *approxGeoWS) reset() {
-	ws.cur.Reset()
-	ws.spare.Reset()
-	for _, f := range ws.y {
-		f.Reset()
+// SingleSourceGeometricFrontier answers one geometric single-source query:
+// the scores go into dst (length n), the frontiers come from ws (nil for a
+// private one), and the return is the MaxError certificate — 0 when tol is
+// below sparse.MinCertTolerance, in which case dst is bitwise-equal to
+// SingleSourceGeometricWS. opt.Parallel fans each sweep out.
+//
+//simstar:noalloc
+func SingleSourceGeometricFrontier(ctx context.Context, qm, qt *sparse.CSR, q int, tol float64, opt Options, ws *sparse.Workspace, dst []float64) (float64, error) {
+	opt = opt.withDefaults()
+	k := opt.IterationsGeometric()
+	n := qm.R
+	if len(dst) != n {
+		panic("core: SingleSourceGeometricFrontier dst length mismatch")
 	}
-}
-
-// scatterSweep runs one frontier sweep dst = mᵀ·src, fanned out across sw's
-// workers when a Sweeper is set (bitwise-identical to the serial scatter —
-// see Sweeper.ScatterMulT) and serially otherwise.
-func scatterSweep(sw *sparse.Sweeper, m *sparse.CSR, dst, src *sparse.Frontier) {
-	if sw != nil {
-		sw.ScatterMulT(m, dst, src)
-		return
+	if ws == nil {
+		//simstar:lint-ignore noalloc nil-ws convenience fallback, off the pooled serving path
+		ws = sparse.NewWorkspace(n)
+	} else if ws.Dim() != n {
+		panic("core: SingleSourceGeometricFrontier workspace dimension mismatch")
 	}
-	m.ScatterMulT(dst, src)
-}
-
-func (ws *approxGeoWS) run(ctx context.Context, qm, qt *sparse.CSR, q int, tol float64) ([]float64, float64, error) {
-	ws.reset()
-	k, opt := ws.k, ws.opt
+	ws.Reset()
 	half := opt.C / 2
-	tr := opt.Trace
-	sw := opt.Parallel
+	tr, sw := opt.Trace, opt.Parallel
 	// K backward sieve points plus K Horner sieve points.
-	budget := sparse.NewCertBudget(tol, 2*k)
+	budget := sparse.MakeCertBudget(tol, 2*k)
 	budget.Trace = tr
 
 	// Backward: w_β = (Qᵀ)^β e_q, folded into every y_α it contributes to as
-	// soon as it exists — the same coefficient schedule as the exact kernel.
-	cur, next := ws.cur, ws.spare
+	// soon as it exists — the dense kernel's coefficient schedule.
+	fs := ws.TakeFrontiers(k + 3)
+	y, cur, next := fs[:k+1], fs[k+1], fs[k+2]
 	cur.Add(int32(q), 1)
 	for beta := 0; beta <= k; beta++ {
 		if beta > 0 {
 			if err := ctx.Err(); err != nil {
-				return nil, 0, err
+				return 0, err
 			}
 			next.Reset()
-			scatterSweep(sw, qm, next, cur) // next = Qᵀ·cur
+			sw.ScatterMulT(qm, next, cur) // next = Qᵀ·cur
 			cur, next = next, cur
-			budget.SieveMass(cur, ws.weights[beta])
+			if budget.Sieving() {
+				budget.SieveMass(cur, geoTailWeight(k, beta, opt.C))
+			}
 			if tr != nil {
 				tr.AddSweeps(1)
 				tr.ObserveFrontier(cur.Len())
@@ -161,28 +124,32 @@ func (ws *approxGeoWS) run(ctx context.Context, qm, qt *sparse.CSR, q int, tol f
 		}
 		for alpha := 0; alpha+beta <= k; alpha++ {
 			coef := math.Pow(half, float64(alpha+beta)) * binom(alpha+beta, alpha)
-			ws.y[alpha].AddScaled(coef, cur)
+			y[alpha].AddScaled(coef, cur)
 		}
 	}
 
 	// Horner: z = y_K; z = Q·z + y_α for α = K−1 .. 0, sieving z after each
 	// step. A drop at stage α still passes through Q^α (row sums <= 1) and
 	// the final (1−C) scale, so it is charged at weight (1−C) on its peak.
-	z, zbuf := ws.y[k], next
+	z, zbuf := y[k], next
 	for alpha := k - 1; alpha >= 0; alpha-- {
 		if err := ctx.Err(); err != nil {
-			return nil, 0, err
+			return 0, err
 		}
 		zbuf.Reset()
-		scatterSweep(sw, qt, zbuf, z) // zbuf = Q·z
+		sw.ScatterMulT(qt, zbuf, z) // zbuf = Q·z
 		z, zbuf = zbuf, z
-		z.AddScaled(1, ws.y[alpha])
-		budget.SievePeak(z, 1-opt.C)
+		z.AddScaled(1, y[alpha])
+		if budget.Sieving() {
+			budget.SievePeak(z, 1-opt.C)
+		}
 		if tr != nil {
 			tr.AddSweeps(1)
 			tr.ObserveFrontier(z.Len())
 		}
 	}
+	z.ScaledTo(dst, 1-opt.C)
+	applySieveVec(dst, opt.Sieve)
 	cert := budget.Certificate()
 	if tr != nil {
 		tr.Certificate = cert
@@ -190,125 +157,101 @@ func (ws *approxGeoWS) run(ctx context.Context, qm, qt *sparse.CSR, q int, tol f
 			tr.AddParSweeps(sw.TakeParSweeps(), sw.Workers())
 		}
 	}
-	return z.Dense(1 - opt.C), cert, nil
+	return cert, nil
 }
 
-// ApproxSingleSourceExponentialFromTransition answers one exponential
-// single-source query with threshold sieving. It returns the scores and the
-// certified MaxError bound against SingleSourceExponentialFromTransition.
-func ApproxSingleSourceExponentialFromTransition(ctx context.Context, qm, qt *sparse.CSR, q int, tol float64, opt Options) ([]float64, float64, error) {
-	ws := newApproxExpWS(qm.R, opt)
-	return ws.run(ctx, qm, qt, q, tol)
-}
-
-// ApproxMultiSourceExponentialFromTransition answers one sieved exponential
-// single-source query per entry of nodes, sharing the kernel workspace
-// across queries. Result i and MaxError i correspond to nodes[i].
-func ApproxMultiSourceExponentialFromTransition(ctx context.Context, qm, qt *sparse.CSR, nodes []int, tol float64, opt Options) ([][]float64, []float64, error) {
-	ws := newApproxExpWS(qm.R, opt)
-	out := make([][]float64, len(nodes))
-	errs := make([]float64, len(nodes))
-	for i, q := range nodes {
-		scores, bound, err := ws.run(ctx, qm, qt, q, tol)
-		if err != nil {
-			return nil, nil, err
+// expCoefSuffix returns Σ_{i=j}^{K} (C/2)ⁱ/i!, the coefficient tail a drop
+// at exponential-series state j still passes through.
+func expCoefSuffix(k, j int, c float64) float64 {
+	coef, sum := 1.0, 0.0
+	for i := 0; i <= k; i++ {
+		if i >= j {
+			sum += coef
 		}
-		out[i], errs[i] = scores, bound
+		coef *= c / (2 * float64(i+1))
 	}
-	return out, errs, nil
+	return sum
 }
 
-// approxExpWS is the sieved exponential kernel's workspace: two ping-pong
-// frontiers, the backward accumulator v and the output accumulator s, plus
-// the series coefficients (C/2)ʲ/j! and their suffix sums.
-type approxExpWS struct {
-	opt    Options
-	k      int
-	a, b   *sparse.Frontier
-	v, s   *sparse.Frontier
-	coef   []float64
-	suffix []float64
-}
-
-func newApproxExpWS(n int, opt Options) *approxExpWS {
+// SingleSourceExponentialFrontier is SingleSourceGeometricFrontier's
+// exponential-form counterpart: v = T_Kᵀ e_q backward, then s = e^{−C}·T_K·v
+// forward, each on frontiers. At tol below sparse.MinCertTolerance dst is
+// bitwise-equal to SingleSourceExponentialWS and the certificate is 0.
+//
+//simstar:noalloc
+func SingleSourceExponentialFrontier(ctx context.Context, qm, qt *sparse.CSR, q int, tol float64, opt Options, ws *sparse.Workspace, dst []float64) (float64, error) {
 	opt = opt.withDefaults()
 	k := opt.IterationsExponential()
-	ws := &approxExpWS{
-		opt:    opt,
-		k:      k,
-		a:      sparse.NewFrontier(n),
-		b:      sparse.NewFrontier(n),
-		v:      sparse.NewFrontier(n),
-		s:      sparse.NewFrontier(n),
-		coef:   make([]float64, k+1),
-		suffix: make([]float64, k+2),
+	n := qm.R
+	if len(dst) != n {
+		panic("core: SingleSourceExponentialFrontier dst length mismatch")
 	}
-	c := 1.0
-	for j := 0; j <= k; j++ {
-		ws.coef[j] = c
-		c *= opt.C / (2 * float64(j+1))
+	if ws == nil {
+		//simstar:lint-ignore noalloc nil-ws convenience fallback, off the pooled serving path
+		ws = sparse.NewWorkspace(n)
+	} else if ws.Dim() != n {
+		panic("core: SingleSourceExponentialFrontier workspace dimension mismatch")
 	}
-	for j := k; j >= 0; j-- {
-		ws.suffix[j] = ws.suffix[j+1] + ws.coef[j]
-	}
-	return ws
-}
-
-func (ws *approxExpWS) run(ctx context.Context, qm, qt *sparse.CSR, q int, tol float64) ([]float64, float64, error) {
-	ws.a.Reset()
-	ws.b.Reset()
-	ws.v.Reset()
-	ws.s.Reset()
-	k := ws.k
-	scale := math.Exp(-ws.opt.C)
-	tr := ws.opt.Trace
-	sw := ws.opt.Parallel
-	budget := sparse.NewCertBudget(tol, 2*k)
+	ws.Reset()
+	scale := math.Exp(-opt.C)
+	tr, sw := opt.Trace, opt.Parallel
+	budget := sparse.MakeCertBudget(tol, 2*k)
 	budget.Trace = tr
 
 	// Backward: v = T_Kᵀ e_q = Σ_j coef_j·(Qᵀ)ʲ e_q. A drop of mass δ from
-	// the walk at state j reaches v with 1-norm weight suffix[j] and the
-	// output through e^{−C}·T_K, whose coefficient sum is suffix[0].
-	cur, next := ws.a, ws.b
+	// the walk at state j reaches v with 1-norm weight suffix(j) and the
+	// output through e^{−C}·T_K, whose coefficient sum is suffix(0).
+	fs := ws.TakeFrontiers(4)
+	cur, next, v, s := fs[0], fs[1], fs[2], fs[3]
 	cur.Add(int32(q), 1)
+	coef := 1.0
 	for j := 0; ; j++ {
 		if err := ctx.Err(); err != nil {
-			return nil, 0, err
+			return 0, err
 		}
-		ws.v.AddScaled(ws.coef[j], cur)
+		v.AddScaled(coef, cur)
 		if j == k {
 			break
 		}
 		next.Reset()
-		scatterSweep(sw, qm, next, cur)
+		sw.ScatterMulT(qm, next, cur) // next = Qᵀ·cur
 		cur, next = next, cur
-		budget.SieveMass(cur, scale*ws.suffix[0]*ws.suffix[j+1])
+		if budget.Sieving() {
+			budget.SieveMass(cur, scale*expCoefSuffix(k, 0, opt.C)*expCoefSuffix(k, j+1, opt.C))
+		}
 		if tr != nil {
 			tr.AddSweeps(1)
 			tr.ObserveFrontier(cur.Len())
 		}
+		coef *= opt.C / (2 * float64(j+1))
 	}
 
 	// Forward: s = T_K·v = Σ_i coef_i·Qⁱ v. A drop at state i passes only
-	// through forward powers (peak-bounded) with coefficient tail suffix[i].
-	fcur, fnext := ws.v, cur
+	// through forward powers (peak-bounded) with coefficient tail suffix(i).
+	fcur, fnext := v, cur
+	coef = 1.0
 	for i := 0; ; i++ {
 		if err := ctx.Err(); err != nil {
-			return nil, 0, err
+			return 0, err
 		}
-		ws.s.AddScaled(ws.coef[i], fcur)
+		s.AddScaled(coef, fcur)
 		if i == k {
 			break
 		}
 		fnext.Reset()
-		scatterSweep(sw, qt, fnext, fcur) // fnext = Q·fcur
+		sw.ScatterMulT(qt, fnext, fcur) // fnext = Q·fcur
 		fcur, fnext = fnext, fcur
-		budget.SievePeak(fcur, scale*ws.suffix[i+1])
+		if budget.Sieving() {
+			budget.SievePeak(fcur, scale*expCoefSuffix(k, i+1, opt.C))
+		}
 		if tr != nil {
 			tr.AddSweeps(1)
 			tr.ObserveFrontier(fcur.Len())
 		}
+		coef *= opt.C / (2 * float64(i+1))
 	}
+	s.ScaledTo(dst, scale)
+	applySieveVec(dst, opt.Sieve)
 	cert := budget.Certificate()
 	if tr != nil {
 		tr.Certificate = cert
@@ -316,5 +259,5 @@ func (ws *approxExpWS) run(ctx context.Context, qm, qt *sparse.CSR, q int, tol f
 			tr.AddParSweeps(sw.TakeParSweeps(), sw.Workers())
 		}
 	}
-	return ws.s.Dense(scale), cert, nil
+	return cert, nil
 }

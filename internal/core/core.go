@@ -53,18 +53,13 @@ type Options struct {
 	// the default — costs one branch per kernel run and zero allocations;
 	// call sites on noalloc paths guard it explicitly (simlint obsnoop).
 	Trace *obs.KernelTrace
-	// Parallel, when non-nil, fans each sparse sweep out across the
-	// Sweeper's workers, row-range partitioned so results stay
-	// bitwise-identical to the serial kernels. The caller owns the Sweeper
+	// Parallel, when non-nil, fans each sweep of the frontier kernels out
+	// across the Sweeper's workers, partitioned so results stay
+	// bitwise-identical to the serial sweeps. The caller owns the Sweeper
 	// for the duration of the call (single borrower). Nil — the default —
-	// runs every sweep on the calling goroutine.
+	// runs every sweep on the calling goroutine. The dense kernels are
+	// serial and ignore it.
 	Parallel *sparse.Sweeper
-	// Transposed is the materialised transpose of the sweep operator
-	// (Qᵀ for the SimRank* kernels). Backward sweeps parallelise as
-	// row-range gathers over the transpose; when Parallel is set but
-	// Transposed is nil, backward sweeps stay serial and only the
-	// gather-direction sweeps fan out.
-	Transposed *sparse.CSR
 }
 
 func (o Options) withDefaults() Options {
@@ -105,6 +100,29 @@ func (o Options) IterationsExponential() int {
 	for bound > o.Eps && k < 10_000 {
 		k++
 		bound *= o.C / float64(k+1)
+	}
+	return k
+}
+
+// MaxIterations returns the largest K worth running at damping C: the first
+// K with C^(K+1) < 2⁻⁵³ (Lemma 3 bounds the truncation error of the
+// geometric series by C^(K+1)). Past it every further term is below float64
+// resolution on scores of order 1, so a larger K only costs time — O(K²)
+// sweeps for the geometric form — without changing a bit of the answer.
+//
+// It is the closed form K = ⌊53·ln 2 / −ln C⌋, nudged at most two steps
+// either way where rounding in the logarithm lands it off by one, so it
+// costs O(1) for every C. Just below 1 the cap runs to ~10¹⁷, where Pow is
+// too coarse to pin the last digit, and the bounded nudge stops it from
+// chasing one.
+func (o Options) MaxIterations() int {
+	o = o.withDefaults()
+	k := int(53 * math.Ln2 / -math.Log(o.C))
+	for i := 0; i < 2 && k > 0 && math.Pow(o.C, float64(k)) < 0x1p-53; i++ {
+		k--
+	}
+	for i := 0; i < 2 && math.Pow(o.C, float64(k+1)) >= 0x1p-53; i++ {
+		k++
 	}
 	return k
 }

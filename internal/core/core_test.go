@@ -210,6 +210,42 @@ func TestIterationsFromEps(t *testing.T) {
 	}
 }
 
+// MaxIterations is the first K with C^(K+1) < 2⁻⁵³: 0.6^71 ≈ 1.7e-16 still
+// clears 2⁻⁵³ ≈ 1.1e-16, 0.6^72 ≈ 1.0e-16 does not.
+func TestMaxIterations(t *testing.T) {
+	for _, c := range []struct {
+		c    float64
+		want int
+	}{{0.6, 71}, {0.8, 164}, {0.5, 53}} {
+		opt := Options{C: c.c}
+		got := opt.MaxIterations()
+		if got != c.want {
+			t.Fatalf("C=%g: MaxIterations = %d, want %d", c.c, got, c.want)
+		}
+		if p := math.Pow(c.c, float64(got+1)); p >= 0x1p-53 {
+			t.Fatalf("C=%g: C^(K+1) = %g not below 2^-53", c.c, p)
+		}
+		if p := math.Pow(c.c, float64(got)); p < 0x1p-53 {
+			t.Fatalf("C=%g: an earlier K already qualifies (C^K = %g)", c.c, p)
+		}
+	}
+	if got, want := (Options{}).MaxIterations(), (Options{C: 0.6}).MaxIterations(); got != want {
+		t.Fatalf("default C: MaxIterations = %d, want %d", got, want)
+	}
+	// The closed form agrees with the defining inequality across (0, 1).
+	for c := 0.0005; c < 0.9995; c += 0.000997 {
+		k := (Options{C: c}).MaxIterations()
+		if math.Pow(c, float64(k+1)) >= 0x1p-53 || (k > 0 && math.Pow(c, float64(k)) < 0x1p-53) {
+			t.Fatalf("C=%g: MaxIterations = %d is not the first K with C^(K+1) < 2^-53", c, k)
+		}
+	}
+	// Just below 1 the cap is huge but computed in O(1), not by stepping
+	// through ~10¹⁷ powers of C.
+	if k := (Options{C: math.Nextafter(1, 0)}).MaxIterations(); k < 1e17 {
+		t.Fatalf("C = 1-ulp: MaxIterations = %d, want ~3.3e17", k)
+	}
+}
+
 // The Figure-1 table: every pair the paper lists as zero-SimRank must be
 // positive under SimRank* (Column SR*).
 func TestFigure1PairsPositive(t *testing.T) {

@@ -2,153 +2,28 @@ package core
 
 import (
 	"context"
-	"math"
 
-	"repro/internal/dense"
 	"repro/internal/sparse"
 )
 
-// Blocked multi-source SimRank*: B single-source queries answered by one
-// run of the iteration with an n×B dense block in place of the length-n
-// vector. The arithmetic is identical to B independent single-source runs —
-// same coefficients, same accumulation order, so the results match the
-// single-source kernels bitwise — but every sparse sweep traverses Q's CSR
-// structure once for all B right-hand sides instead of once per query, and
-// the inner update becomes a contiguous B-wide axpy instead of a scalar
-// gather. That is the batching win a serving system sees even on one core;
-// on many cores the row-parallel SpMM stacks on top of it.
-//
-// Both kernels take the backward transition matrix qm and its materialised
-// transpose qt: the scatter-form MulVecT of the single-source path would
-// serialise the block, whereas qt lets the backward sweeps use the same
-// row-parallel gather SpMM as the forward sweeps.
-
-// denseSweep runs one block sweep c = m·b. With a Sweeper the fan-out width
-// is the sweeper's configured worker count; without one the serial kernel's
-// own par.For fans out across all cores — the default the engine preserves
-// when no explicit parallelism was requested. Both forms are
-// bitwise-identical for any worker count.
-func denseSweep(sw *sparse.Sweeper, m *sparse.CSR, c, b *dense.Matrix) {
-	if sw != nil {
-		sw.MulDenseInto(m, c, b)
-		return
-	}
-	m.MulDenseInto(c, b)
-}
-
-// MultiSourceGeometricFromTransition answers one geometric SimRank*
-// single-source query per entry of nodes, against a pre-built backward
-// transition matrix qm and its transpose qt. Result i is exactly
-// SingleSourceGeometricFromTransition(ctx, qm, nodes[i], opt).
+// MultiSourceGeometricFromTransition answers one exact geometric SimRank*
+// single-source query per entry of nodes: a loop over
+// SingleSourceGeometricFrontier at tolerance 0 on one shared workspace, so
+// result i is bitwise SingleSourceGeometricWS for nodes[i]. The engine has
+// no multi-source kernel — a batch fans out over single-source queries —
+// and this loop stays only because the benchmark module (perfbench) times
+// a 16-query batch under this name.
 func MultiSourceGeometricFromTransition(ctx context.Context, qm, qt *sparse.CSR, nodes []int, opt Options) ([][]float64, error) {
-	opt = opt.withDefaults()
-	k := opt.IterationsGeometric()
-	n := qm.R
-	b := len(nodes)
-	if b == 0 {
+	if len(nodes) == 0 {
 		return nil, nil
 	}
-
-	// cur starts as E, one basis column per query node, and walks through
-	// w_β = (Qᵀ)^β·E. Each w_β is folded into every y_α it contributes to
-	// as soon as it exists, so only one walk block is live at a time.
-	cur := dense.New(n, b)
-	for t, q := range nodes {
-		cur.Row(q)[t] = 1
-	}
-	half := opt.C / 2
-	y := make([]*dense.Matrix, k+1)
-	for alpha := range y {
-		y[alpha] = dense.New(n, b)
-	}
-	tmp := dense.New(n, b)
-	for beta := 0; beta <= k; beta++ {
-		if beta > 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			denseSweep(opt.Parallel, qt, tmp, cur)
-			cur, tmp = tmp, cur
-		}
-		for alpha := 0; alpha+beta <= k; alpha++ {
-			coef := math.Pow(half, float64(alpha+beta)) * binom(alpha+beta, alpha)
-			dense.Axpy(y[alpha].Data, coef, cur.Data)
-		}
-	}
-
-	// Horner: Z = Y_K; Z = Q·Z + Y_α for α = K−1 .. 0. The two spare blocks
-	// (cur's and Y_K's backing arrays, dead after their last read) serve as
-	// the ping-pong buffers.
-	z := y[k]
-	zbuf := cur
-	for alpha := k - 1; alpha >= 0; alpha-- {
-		if err := ctx.Err(); err != nil {
+	ws := sparse.NewWorkspace(qm.R)
+	out := make([][]float64, len(nodes))
+	for i, q := range nodes {
+		out[i] = make([]float64, qm.R)
+		if _, err := SingleSourceGeometricFrontier(ctx, qm, qt, q, 0, opt, ws, out[i]); err != nil {
 			return nil, err
 		}
-		denseSweep(opt.Parallel, qm, zbuf, z)
-		z, zbuf = zbuf, z
-		dense.Axpy(z.Data, 1, y[alpha].Data)
 	}
-	for i := range z.Data {
-		z.Data[i] *= 1 - opt.C
-	}
-	applySieveVec(z.Data, opt.Sieve)
-	return z.SplitColumns(), nil
-}
-
-// MultiSourceExponentialFromTransition answers one exponential SimRank*
-// single-source query per entry of nodes, against a pre-built backward
-// transition matrix qm and its transpose qt. Result i is exactly
-// SingleSourceExponentialFromTransition(ctx, qm, nodes[i], opt).
-func MultiSourceExponentialFromTransition(ctx context.Context, qm, qt *sparse.CSR, nodes []int, opt Options) ([][]float64, error) {
-	opt = opt.withDefaults()
-	k := opt.IterationsExponential()
-	n := qm.R
-	b := len(nodes)
-	if b == 0 {
-		return nil, nil
-	}
-
-	// V = T_Kᵀ·E = Σ_j (C/2)ʲ/j!·(Qᵀ)ʲ·E.
-	v := dense.New(n, b)
-	cur := dense.New(n, b)
-	for t, q := range nodes {
-		cur.Row(q)[t] = 1
-	}
-	tmp := dense.New(n, b)
-	coef := 1.0
-	for j := 0; ; j++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		dense.Axpy(v.Data, coef, cur.Data)
-		if j == k {
-			break
-		}
-		denseSweep(opt.Parallel, qt, tmp, cur)
-		cur, tmp = tmp, cur
-		coef *= opt.C / (2 * float64(j+1))
-	}
-
-	// S = e^{−C}·T_K·V, accumulated the same way forward.
-	s := dense.New(n, b)
-	coef = 1.0
-	for i := 0; ; i++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		dense.Axpy(s.Data, coef, v.Data)
-		if i == k {
-			break
-		}
-		denseSweep(opt.Parallel, qm, tmp, v)
-		v, tmp = tmp, v
-		coef *= opt.C / (2 * float64(i+1))
-	}
-	scale := math.Exp(-opt.C)
-	for i := range s.Data {
-		s.Data[i] *= scale
-	}
-	applySieveVec(s.Data, opt.Sieve)
-	return s.SplitColumns(), nil
+	return out, nil
 }

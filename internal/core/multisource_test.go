@@ -16,39 +16,26 @@ func multiTestGraph() *graph.Graph {
 	})
 }
 
-// The blocked kernels promise bitwise equality with the single-source
-// kernels: same coefficients, same accumulation order.
+// MultiSourceGeometricFromTransition loops the frontier kernel at
+// tolerance 0 on one shared workspace; every result must be bitwise the
+// dense kernel's.
 func TestMultiSourceMatchesSingleSourceBitwise(t *testing.T) {
 	g := multiTestGraph()
 	qm := sparse.BackwardTransition(g)
 	qt := qm.Transpose()
 	ctx := context.Background()
 	opt := Options{C: 0.6, K: 6}
-	nodes := []int{0, 3, 5, 7, 3} // includes a duplicate column
+	nodes := []int{0, 3, 5, 7, 3} // includes a duplicate
 
 	geo, err := MultiSourceGeometricFromTransition(ctx, qm, qt, nodes, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	exp, err := MultiSourceExponentialFromTransition(ctx, qm, qt, nodes, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for t_, q := range nodes {
-		wantG, err := SingleSourceGeometricFromTransition(ctx, qm, q, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantE, err := SingleSourceExponentialFromTransition(ctx, qm, q, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range wantG {
-			if geo[t_][i] != wantG[i] {
-				t.Fatalf("geometric col %d (node %d): [%d] = %g, want %g", t_, q, i, geo[t_][i], wantG[i])
-			}
-			if exp[t_][i] != wantE[i] {
-				t.Fatalf("exponential col %d (node %d): [%d] = %g, want %g", t_, q, i, exp[t_][i], wantE[i])
+		want := denseGeometric(t, qm, q, opt)
+		for i := range want {
+			if geo[t_][i] != want[i] {
+				t.Fatalf("query %d (node %d): [%d] = %g, want %g", t_, q, i, geo[t_][i], want[i])
 			}
 		}
 	}
@@ -65,9 +52,6 @@ func TestMultiSourceEmptyAndCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := MultiSourceGeometricFromTransition(ctx, qm, qt, []int{0, 1}, opt); !errors.Is(err, context.Canceled) {
-		t.Fatalf("geometric: err = %v, want context.Canceled", err)
-	}
-	if _, err := MultiSourceExponentialFromTransition(ctx, qm, qt, []int{0, 1}, opt); !errors.Is(err, context.Canceled) {
-		t.Fatalf("exponential: err = %v, want context.Canceled", err)
+		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }

@@ -26,9 +26,12 @@ import (
 // so one backward sweep builds v = T_Kᵀ e_q and one forward sweep applies
 // T_K. Both match the corresponding all-pairs rows exactly (tested).
 //
-// The *FromTransition variants take a pre-built Q so a serving engine can
-// amortise the CSR construction across queries; the context is checked
-// between sweeps so deadlines and cancellation abort long runs.
+// These dense kernels are the serial reference: every vector is length n and
+// every sweep streams the whole matrix. The engine serves from the frontier
+// kernels in approx.go instead, which at tolerance 0 reproduce these bit for
+// bit while touching only the nodes the walk reaches; tests compare the two.
+// The context is checked between sweeps so deadlines and cancellation abort
+// long runs.
 
 // foldPollStride is how many fold-loop Axpys run between amortised context
 // checks (see sparse.CtxPoll): small enough that a per-query deadline lands
@@ -39,32 +42,24 @@ const foldPollStride = 8
 // SingleSourceGeometric returns the geometric SimRank* scores between q and
 // every node, identical to row q of Geometric(g, opt).
 func SingleSourceGeometric(g *graph.Graph, q int, opt Options) []float64 {
-	s, _ := SingleSourceGeometricFromTransition(context.Background(), sparse.BackwardTransition(g), q, opt)
+	s, _ := SingleSourceGeometricCtx(context.Background(), g, q, opt)
 	return s
 }
 
 // SingleSourceGeometricCtx is SingleSourceGeometric with cancellation.
 func SingleSourceGeometricCtx(ctx context.Context, g *graph.Graph, q int, opt Options) ([]float64, error) {
-	return SingleSourceGeometricFromTransition(ctx, sparse.BackwardTransition(g), q, opt)
-}
-
-// SingleSourceGeometricFromTransition answers a geometric single-source
-// query against a pre-built backward transition matrix.
-func SingleSourceGeometricFromTransition(ctx context.Context, qm *sparse.CSR, q int, opt Options) ([]float64, error) {
-	dst := make([]float64, qm.R)
-	if err := SingleSourceGeometricWS(ctx, qm, q, opt, nil, dst); err != nil {
+	dst := make([]float64, g.N())
+	if err := SingleSourceGeometricWS(ctx, sparse.BackwardTransition(g), q, opt, nil, dst); err != nil {
 		return nil, err
 	}
 	return dst, nil
 }
 
-// SingleSourceGeometricWS is the workspace form of the geometric
-// single-source kernel: it writes the scores into dst (length n) and draws
-// every intermediate vector from ws, so a serving layer that pools
-// workspaces and reuses result buffers pays zero allocations per query. A
-// nil ws uses a private one. The arithmetic — coefficients and per-element
-// accumulation order — is identical to the allocating kernel, so the scores
-// are bitwise-equal.
+// SingleSourceGeometricWS is the dense geometric single-source kernel: it
+// writes the scores into dst (length n) and draws every intermediate vector
+// from ws (nil for a private one), so a caller that reuses both pays zero
+// allocations per query. It is the bitwise reference for
+// SingleSourceGeometricFrontier.
 //
 //simstar:noalloc
 func SingleSourceGeometricWS(ctx context.Context, qm *sparse.CSR, q int, opt Options, ws *sparse.Workspace, dst []float64) error {
@@ -81,10 +76,6 @@ func SingleSourceGeometricWS(ctx context.Context, qm *sparse.CSR, q int, opt Opt
 		panic("core: SingleSourceGeometricWS workspace dimension mismatch")
 	}
 	ws.Reset()
-	// Backward sweeps parallelise as gathers over the materialised
-	// transpose; without it only the forward (Horner) sweeps fan out.
-	sw := opt.Parallel
-	qt := opt.Transposed
 
 	// y_α accumulates Σ_β (C/2)^{α+β} binom(α+β, α) w_β; each walk vector
 	// w_β = (Qᵀ)^β e_q folds into every y_α it contributes to as soon as it
@@ -105,11 +96,7 @@ func SingleSourceGeometricWS(ctx context.Context, qm *sparse.CSR, q int, opt Opt
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			if sw != nil && qt != nil {
-				sw.MulVecInto(qt, next, cur)
-			} else {
-				qm.MulVecTInto(next, cur)
-			}
+			qm.MulVecTInto(next, cur)
 			sweeps++
 			cur, next = next, cur
 		}
@@ -130,11 +117,7 @@ func SingleSourceGeometricWS(ctx context.Context, qm *sparse.CSR, q int, opt Opt
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if sw != nil {
-			sw.MulVecAddInto(qm, next, z, y[alpha])
-		} else {
-			qm.MulVecAddInto(next, z, y[alpha])
-		}
+		qm.MulVecAddInto(next, z, y[alpha])
 		sweeps++
 		z, next = next, z
 	}
@@ -144,19 +127,12 @@ func SingleSourceGeometricWS(ctx context.Context, qm *sparse.CSR, q int, opt Opt
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if sw != nil {
-			sw.MulVecAddScaleInto(qm, dst, z, y[0], 1-opt.C)
-		} else {
-			qm.MulVecAddScaleInto(dst, z, y[0], 1-opt.C)
-		}
+		qm.MulVecAddScaleInto(dst, z, y[0], 1-opt.C)
 		sweeps++
 	}
 	applySieveVec(dst, opt.Sieve)
 	if tr := opt.Trace; tr != nil {
 		tr.AddSweeps(sweeps)
-		if sw != nil {
-			tr.AddParSweeps(sw.TakeParSweeps(), sw.Workers())
-		}
 	}
 	return nil
 }
@@ -164,29 +140,23 @@ func SingleSourceGeometricWS(ctx context.Context, qm *sparse.CSR, q int, opt Opt
 // SingleSourceExponential returns the exponential SimRank* scores between q
 // and every node, identical to row q of Exponential(g, opt).
 func SingleSourceExponential(g *graph.Graph, q int, opt Options) []float64 {
-	s, _ := SingleSourceExponentialFromTransition(context.Background(), sparse.BackwardTransition(g), q, opt)
+	s, _ := SingleSourceExponentialCtx(context.Background(), g, q, opt)
 	return s
 }
 
 // SingleSourceExponentialCtx is SingleSourceExponential with cancellation.
 func SingleSourceExponentialCtx(ctx context.Context, g *graph.Graph, q int, opt Options) ([]float64, error) {
-	return SingleSourceExponentialFromTransition(ctx, sparse.BackwardTransition(g), q, opt)
-}
-
-// SingleSourceExponentialFromTransition answers an exponential single-source
-// query against a pre-built backward transition matrix.
-func SingleSourceExponentialFromTransition(ctx context.Context, qm *sparse.CSR, q int, opt Options) ([]float64, error) {
-	dst := make([]float64, qm.R)
-	if err := SingleSourceExponentialWS(ctx, qm, q, opt, nil, dst); err != nil {
+	dst := make([]float64, g.N())
+	if err := SingleSourceExponentialWS(ctx, sparse.BackwardTransition(g), q, opt, nil, dst); err != nil {
 		return nil, err
 	}
 	return dst, nil
 }
 
-// SingleSourceExponentialWS is the workspace form of the exponential
-// single-source kernel: scores go into dst (length n), intermediates come
-// from ws (nil for a private one), and the arithmetic is bitwise-identical
-// to the allocating kernel.
+// SingleSourceExponentialWS is the dense exponential single-source kernel:
+// scores go into dst (length n), intermediates come from ws (nil for a
+// private one). It is the bitwise reference for
+// SingleSourceExponentialFrontier.
 //
 //simstar:noalloc
 func SingleSourceExponentialWS(ctx context.Context, qm *sparse.CSR, q int, opt Options, ws *sparse.Workspace, dst []float64) error {
@@ -203,8 +173,6 @@ func SingleSourceExponentialWS(ctx context.Context, qm *sparse.CSR, q int, opt O
 		panic("core: SingleSourceExponentialWS workspace dimension mismatch")
 	}
 	ws.Reset()
-	sw := opt.Parallel
-	qt := opt.Transposed
 
 	// v = T_Kᵀ e_q = Σ_j (C/2)ʲ/j!·(Qᵀ)ʲ e_q.
 	v := ws.Take()
@@ -221,11 +189,7 @@ func SingleSourceExponentialWS(ctx context.Context, qm *sparse.CSR, q int, opt O
 		if j == k {
 			break
 		}
-		if sw != nil && qt != nil {
-			sw.MulVecInto(qt, next, cur)
-		} else {
-			qm.MulVecTInto(next, cur)
-		}
+		qm.MulVecTInto(next, cur)
 		sweeps++
 		cur, next = next, cur
 		coef *= opt.C / (2 * float64(j+1))
@@ -243,11 +207,7 @@ func SingleSourceExponentialWS(ctx context.Context, qm *sparse.CSR, q int, opt O
 		if i == k {
 			break
 		}
-		if sw != nil {
-			sw.MulVecInto(qm, fnext, fcur)
-		} else {
-			qm.MulVecInto(fnext, fcur)
-		}
+		qm.MulVecInto(fnext, fcur)
 		sweeps++
 		fcur, fnext = fnext, fcur
 		coef *= opt.C / (2 * float64(i+1))
@@ -256,9 +216,6 @@ func SingleSourceExponentialWS(ctx context.Context, qm *sparse.CSR, q int, opt O
 	applySieveVec(dst, opt.Sieve)
 	if tr := opt.Trace; tr != nil {
 		tr.AddSweeps(sweeps)
-		if sw != nil {
-			tr.AddParSweeps(sw.TakeParSweeps(), sw.Workers())
-		}
 	}
 	return nil
 }
@@ -406,29 +363,4 @@ func TopKInto(scores []float64, k int, dst []Ranked, exclude ...int) []Ranked {
 		rankedSiftDown(h[:i])
 	}
 	return h
-}
-
-// SingleSourceGeometricTopKWS fuses the geometric single-source kernel with
-// bounded top-k selection: the full score vector lands in scores (length n,
-// scratch — kernels reset ws, so it must not come from the same workspace)
-// and only the selected entries are built, in dst's backing array. With a
-// pooled scores buffer and cap(dst) >= k the query materialises nothing of
-// size O(n) beyond its reused scratch: the result is k entries, not a
-// per-query n-vector. Entries and order are exactly
-// TopK(SingleSourceGeometric..., k, exclude...).
-func SingleSourceGeometricTopKWS(ctx context.Context, qm *sparse.CSR, q, k int, opt Options, ws *sparse.Workspace, scores []float64, dst []Ranked, exclude ...int) ([]Ranked, error) {
-	if err := SingleSourceGeometricWS(ctx, qm, q, opt, ws, scores); err != nil {
-		return nil, err
-	}
-	return TopKInto(scores, k, dst, exclude...), nil
-}
-
-// SingleSourceExponentialTopKWS is the exponential-form counterpart of
-// SingleSourceGeometricTopKWS: kernel into the scores scratch, bounded
-// selection into dst, zero per-query allocations on the pooled path.
-func SingleSourceExponentialTopKWS(ctx context.Context, qm *sparse.CSR, q, k int, opt Options, ws *sparse.Workspace, scores []float64, dst []Ranked, exclude ...int) ([]Ranked, error) {
-	if err := SingleSourceExponentialWS(ctx, qm, q, opt, ws, scores); err != nil {
-		return nil, err
-	}
-	return TopKInto(scores, k, dst, exclude...), nil
 }

@@ -1,12 +1,8 @@
 package core
 
 import (
-	"context"
 	"math/rand"
 	"testing"
-
-	"repro/internal/graph"
-	"repro/internal/sparse"
 )
 
 // topKRef is the obviously-correct reference: full selection by repeated
@@ -172,78 +168,4 @@ func TestTopKIntoZeroAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("TopKInto with preallocated dst: %v allocs/op, want 0", allocs)
 	}
-}
-
-func TestSingleSourceTopKWSMatchesMaterialized(t *testing.T) {
-	g := ringWithChords(t, 64)
-	qm := sparse.BackwardTransition(g)
-	opt := Options{C: 0.6, K: 6}
-	n := g.N()
-	ws := sparse.NewWorkspace(n)
-	scores := make([]float64, n)
-	dst := make([]Ranked, 0, 8)
-	ctx := context.Background()
-
-	for q := 0; q < n; q += 7 {
-		full, err := SingleSourceGeometricFromTransition(ctx, qm, q, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := TopK(full, 8, q)
-		got, err := SingleSourceGeometricTopKWS(ctx, qm, q, 8, opt, ws, scores, dst, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !rankedEqual(got, want) {
-			t.Fatalf("geometric q=%d: fused=%v want %v", q, got, want)
-		}
-
-		fullExp, err := SingleSourceExponentialFromTransition(ctx, qm, q, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantExp := TopK(fullExp, 8, q)
-		gotExp, err := SingleSourceExponentialTopKWS(ctx, qm, q, 8, opt, ws, scores, dst, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !rankedEqual(gotExp, wantExp) {
-			t.Fatalf("exponential q=%d: fused=%v want %v", q, gotExp, wantExp)
-		}
-	}
-}
-
-func TestSingleSourceTopKWSCancellation(t *testing.T) {
-	g := ringWithChords(t, 32)
-	qm := sparse.BackwardTransition(g)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	scores := make([]float64, g.N())
-	if _, err := SingleSourceGeometricTopKWS(ctx, qm, 0, 5, Options{}, nil, scores, nil); err == nil {
-		t.Fatal("geometric fused top-k ignored cancelled context")
-	}
-	if _, err := SingleSourceExponentialTopKWS(ctx, qm, 0, 5, Options{}, nil, scores, nil); err == nil {
-		t.Fatal("exponential fused top-k ignored cancelled context")
-	}
-}
-
-// ringWithChords builds a small deterministic digraph: a directed ring with
-// chord edges so walk vectors mix quickly.
-func ringWithChords(t *testing.T, n int) *graph.Graph {
-	t.Helper()
-	b := graph.NewBuilder()
-	for i := 0; i < n; i++ {
-		b.AddEdge(i, (i+1)%n)
-		if i%3 == 0 {
-			b.AddEdge(i, (i+n/2)%n)
-		}
-		if i%5 == 0 {
-			b.AddEdge((i+2)%n, i)
-		}
-	}
-	g, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return g
 }

@@ -8,10 +8,9 @@ import (
 	"repro/internal/sparse"
 )
 
-// The workspace kernels promise bitwise equality with the allocating
-// kernels: same coefficients, same accumulation order, only the buffers'
-// lifetimes differ. Reusing one workspace (and one dst) across many queries
-// must not leak state between runs.
+// The workspace kernels promise bitwise equality with the allocating forms:
+// only the buffers' lifetimes differ. Reusing one workspace (and one dst)
+// across many queries must not leak state between runs.
 func TestSingleSourceWorkspaceKernelsBitwise(t *testing.T) {
 	g := dataset.RMATDefault(7, 4, 41)
 	qm := sparse.BackwardTransition(g)
@@ -20,7 +19,7 @@ func TestSingleSourceWorkspaceKernelsBitwise(t *testing.T) {
 	dst := make([]float64, qm.R)
 	for _, opt := range []Options{{C: 0.6, K: 5}, {C: 0.8, K: 1}, {C: 0.3, K: 0}, {C: 0.6, K: 4, Sieve: 1e-3}} {
 		for q := 0; q < qm.R; q += 17 {
-			want, err := SingleSourceGeometricFromTransition(ctx, qm, q, opt)
+			want, err := SingleSourceGeometricCtx(ctx, g, q, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -32,7 +31,7 @@ func TestSingleSourceWorkspaceKernelsBitwise(t *testing.T) {
 					t.Fatalf("geometric opt=%+v q=%d: [%d] = %g, want %g", opt, q, i, dst[i], want[i])
 				}
 			}
-			want, err = SingleSourceExponentialFromTransition(ctx, qm, q, opt)
+			want, err = SingleSourceExponentialCtx(ctx, g, q, opt)
 			if err != nil {
 				t.Fatal(err)
 			}

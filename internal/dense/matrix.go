@@ -125,23 +125,6 @@ func (m *Matrix) Transpose() *Matrix {
 	return t
 }
 
-// SplitColumns unpacks m into one fresh vector per column:
-// out[j][i] = m.At(i, j). The blocked multi-source kernels use it to hand
-// each query of an n×B block its own length-n score vector.
-func (m *Matrix) SplitColumns() [][]float64 {
-	out := make([][]float64, m.Cols)
-	for j := range out {
-		out[j] = make([]float64, m.Rows)
-	}
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for j, v := range row {
-			out[j][i] = v
-		}
-	}
-	return out
-}
-
 // Symmetrize sets m = (m + mᵀ)/2 in place (square matrices). It is used by
 // the iterative SimRank* kernels to enforce exact symmetry against float
 // round-off.

@@ -36,14 +36,15 @@ import (
 // design.
 
 // DefaultArenaTypes are the workspace-arena types whose handout methods
-// (Take, Raw, TakeVecs) are pool sources, named "pkgpath.TypeName".
+// (Take, Raw, TakeVecs, TakeFrontiers) are pool sources, named
+// "pkgpath.TypeName".
 var DefaultArenaTypes = []string{
 	"repro/internal/sparse.Workspace",
 }
 
 // arenaHandoutMethods are the method names through which an arena lends out
 // its buffers.
-var arenaHandoutMethods = map[string]bool{"Take": true, "Raw": true, "TakeVecs": true}
+var arenaHandoutMethods = map[string]bool{"Take": true, "Raw": true, "TakeVecs": true, "TakeFrontiers": true}
 
 // parLoopPkg and parLoopFuncs name the parallel loop drivers whose closure
 // arguments run concurrently on multiple goroutines.

@@ -116,9 +116,9 @@ type Trace struct {
 	Layout string `json:"layout,omitempty"`
 	// Cached reports whether the result came from the result cache.
 	Cached bool `json:"cached"`
-	// Plan records the execution route the planner chose — "cache",
-	// "exact", "sieved" for single queries; for batches, one note per
-	// query group describing the chosen kernel and block width.
+	// Plan records how the answer was produced — "cache", "exact",
+	// "sieved" for single queries; for batches, the fan-out width
+	// ("fanout b=N", N distinct queries the cache could not answer).
 	Plan string `json:"plan,omitempty"`
 	// MaxError is the certified error bound of the answer (0 = exact).
 	MaxError float64 `json:"max_error"`

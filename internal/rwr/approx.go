@@ -3,124 +3,93 @@ package rwr
 import (
 	"context"
 
+	"repro/internal/dense"
 	"repro/internal/sparse"
 )
 
-// Threshold-sieved approximate single-source RWR. The walk mass spreads
-// from the query node through Wᵀ sweeps; entries below an adaptive
-// threshold are dropped each sweep and charged against an error budget, so
-// the result carries a certified element-wise bound:
+// Frontier single-source RWR: the kernel the engine serves every RWR query
+// from. The walk mass spreads from the query node through Wᵀ sweeps over a
+// sparse frontier, so a sweep costs O(Σ deg(frontier)) instead of O(m).
+//
+// Below sparse.MinCertTolerance (0 included) nothing is dropped: the result
+// is bitwise-equal to SingleSourceWS and the certificate is 0, because every
+// sweep visits its sources in ascending order (see sparse.CSR.ScatterMulT),
+// the order the dense scatter adds each element's terms in. A larger tol
+// drops entries below an adaptive threshold each sweep and charges them
+// against an error budget, so the result carries a certified element-wise
+// bound
 //
 //	|approx[i] − exact[i]| <= MaxError <= tol   for every node i,
 //
-// where "exact" is SingleSourceFromTransition at the same Options. Mass
-// dropped before step k can only reach the output through the series tail
+// where "exact" is SingleSourceWS at the same Options. Mass dropped before
+// step k can only reach the output through the series tail
 // Σ_{l>=k} (1−C)·Cˡ, the geometric decay that lets late sweeps drop
-// proportionally more. Tolerances below sparse.MinCertTolerance disable
-// dropping; callers wanting bitwise equality with the exact kernel should
-// dispatch to it directly.
+// proportionally more.
 
-// ApproxSingleSourceFromTransition answers one sieved RWR single-source
-// query against a pre-built forward transition matrix, returning the scores
-// and the certified MaxError bound.
-func ApproxSingleSourceFromTransition(ctx context.Context, w *sparse.CSR, q int, tol float64, opt Options) ([]float64, float64, error) {
-	ws := newApproxRWRWS(w.R, opt)
-	return ws.run(ctx, w, q, tol)
-}
-
-// ApproxMultiSourceFromTransition answers one sieved RWR single-source
-// query per entry of nodes, sharing the kernel workspace — frontiers and
-// the dense accumulator — across queries. Result i and MaxError i
-// correspond to nodes[i].
-func ApproxMultiSourceFromTransition(ctx context.Context, w *sparse.CSR, nodes []int, tol float64, opt Options) ([][]float64, []float64, error) {
-	ws := newApproxRWRWS(w.R, opt)
-	out := make([][]float64, len(nodes))
-	errs := make([]float64, len(nodes))
-	for i, q := range nodes {
-		scores, bound, err := ws.run(ctx, w, q, tol)
-		if err != nil {
-			return nil, nil, err
+// seriesTail returns Σ_{l=j}^{K} (1−C)·Cˡ, the weight mass dropped before
+// step j still carries into the output.
+func seriesTail(k, j int, c float64) float64 {
+	coef, sum := 1-c, 0.0
+	for l := 0; l <= k; l++ {
+		if l >= j {
+			sum += coef
 		}
-		// run hands back the shared accumulator; each query keeps its own
-		// copy.
-		out[i] = append([]float64(nil), scores...)
-		errs[i] = bound
+		coef *= c
 	}
-	return out, errs, nil
+	return sum
 }
 
-// approxRWRWS is the sieved RWR workspace: two ping-pong frontiers, the
-// dense output accumulator shared across runs, and the series-tail weights
-// tail[k] = Σ_{l=k}^{K} (1−C)·Cˡ.
-type approxRWRWS struct {
-	opt  Options
-	a, b *sparse.Frontier
-	out  []float64
-	tail []float64
-}
-
-func newApproxRWRWS(n int, opt Options) *approxRWRWS {
+// SingleSourceFrontier answers one RWR single-source query against a
+// pre-built forward transition matrix: the scores go into dst (length n),
+// the two frontiers come from ws (nil for a private one), and the return is
+// the MaxError certificate — 0 when tol is below sparse.MinCertTolerance, in
+// which case dst is bitwise-equal to SingleSourceWS. opt.Parallel fans each
+// sweep out.
+//
+//simstar:noalloc
+func SingleSourceFrontier(ctx context.Context, w *sparse.CSR, q int, tol float64, opt Options, ws *sparse.Workspace, dst []float64) (float64, error) {
 	opt = opt.withDefaults()
-	ws := &approxRWRWS{
-		opt:  opt,
-		a:    sparse.NewFrontier(n),
-		b:    sparse.NewFrontier(n),
-		out:  make([]float64, n),
-		tail: make([]float64, opt.K+2),
+	n := w.R
+	if len(dst) != n {
+		panic("rwr: SingleSourceFrontier dst length mismatch")
 	}
-	coef := 1 - opt.C
-	for k := 0; k <= opt.K; k++ {
-		ws.tail[k] = coef
-		coef *= opt.C
+	if ws == nil {
+		//simstar:lint-ignore noalloc nil-ws convenience fallback, off the pooled serving path
+		ws = sparse.NewWorkspace(n)
+	} else if ws.Dim() != n {
+		panic("rwr: SingleSourceFrontier workspace dimension mismatch")
 	}
-	// Suffix-sum the per-term weights into the series tails.
-	for k := opt.K - 1; k >= 0; k-- {
-		ws.tail[k] += ws.tail[k+1]
-	}
-	return ws
-}
-
-// run answers one query. The returned slice is ws.out — valid until the
-// next run on the same workspace; callers retaining it across runs must
-// copy.
-func (ws *approxRWRWS) run(ctx context.Context, w *sparse.CSR, q int, tol float64) ([]float64, float64, error) {
-	ws.a.Reset()
-	ws.b.Reset()
-	opt := ws.opt
-	out := ws.out
-	for i := range out {
-		out[i] = 0
-	}
-	tr := opt.Trace
-	sw := opt.Parallel
-	budget := sparse.NewCertBudget(tol, opt.K)
+	ws.Reset()
+	tr, sw := opt.Trace, opt.Parallel
+	budget := sparse.MakeCertBudget(tol, opt.K)
 	budget.Trace = tr
 
-	cur, next := ws.a, ws.b
+	fs := ws.TakeFrontiers(2)
+	cur, next := fs[0], fs[1]
 	cur.Add(int32(q), 1)
+	dense.ZeroVec(dst)
 	coef := 1 - opt.C
 	for k := 0; ; k++ {
 		if err := ctx.Err(); err != nil {
-			return nil, 0, err
+			return 0, err
 		}
-		cur.AddScaledInto(out, coef)
+		cur.AddScaledInto(dst, coef)
 		if k == opt.K {
 			break
 		}
 		next.Reset()
-		if sw != nil {
-			sw.ScatterMulT(w, next, cur) // next = Wᵀ·cur
-		} else {
-			w.ScatterMulT(next, cur) // next = Wᵀ·cur
-		}
+		sw.ScatterMulT(w, next, cur) // next = Wᵀ·cur
 		cur, next = next, cur
-		budget.SieveMass(cur, ws.tail[k+1])
+		if budget.Sieving() {
+			budget.SieveMass(cur, seriesTail(opt.K, k+1, opt.C))
+		}
 		if tr != nil {
 			tr.AddSweeps(1)
 			tr.ObserveFrontier(cur.Len())
 		}
 		coef *= opt.C
 	}
+	sieveVec(dst, opt.Sieve)
 	cert := budget.Certificate()
 	if tr != nil {
 		tr.Certificate = cert
@@ -128,5 +97,5 @@ func (ws *approxRWRWS) run(ctx context.Context, w *sparse.CSR, q int, tol float6
 			tr.AddParSweeps(sw.TakeParSweeps(), sw.Workers())
 		}
 	}
-	return out, cert, nil
+	return cert, nil
 }

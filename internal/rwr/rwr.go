@@ -13,7 +13,6 @@ package rwr
 import (
 	"context"
 
-	"repro/internal/core"
 	"repro/internal/dense"
 	"repro/internal/graph"
 	"repro/internal/obs"
@@ -33,15 +32,11 @@ type Options struct {
 	// frontier widths, sieve spend). Nil costs one branch per kernel run;
 	// call sites on noalloc paths guard it explicitly (simlint obsnoop).
 	Trace *obs.KernelTrace
-	// Parallel, when non-nil, fans each sparse sweep out across the
-	// Sweeper's workers; results stay bitwise-identical to serial. The
-	// caller owns the Sweeper for the duration of the call.
+	// Parallel, when non-nil, fans each sweep of the frontier kernel out
+	// across the Sweeper's workers; results stay bitwise-identical to
+	// serial. The caller owns the Sweeper for the duration of the call. The
+	// dense kernel is serial and ignores it.
 	Parallel *sparse.Sweeper
-	// Transposed is the materialised transpose of the forward transition
-	// matrix (Wᵀ). The RWR walk's backward sweeps parallelise as gathers
-	// over it; when Parallel is set but Transposed is nil those sweeps
-	// stay serial.
-	Transposed *sparse.CSR
 }
 
 func (o Options) withDefaults() Options {
@@ -84,13 +79,7 @@ func AllPairsFromTransition(ctx context.Context, w *sparse.CSR, opt Options) (*d
 		m.AddDiag(1 - opt.C)
 		s, m = m, s
 	}
-	if opt.Sieve > 0 {
-		for i, v := range s.Data {
-			if v < opt.Sieve {
-				s.Data[i] = 0
-			}
-		}
-	}
+	sieveVec(s.Data, opt.Sieve)
 	return s, nil
 }
 
@@ -98,29 +87,23 @@ func AllPairsFromTransition(ctx context.Context, w *sparse.CSR, opt Options) (*d
 // personalised PageRank restarted at q, truncated at K terms. It equals row
 // q of AllPairs and costs O(K·m).
 func SingleSource(g *graph.Graph, q int, opt Options) []float64 {
-	s, _ := SingleSourceFromTransition(context.Background(), sparse.ForwardTransition(g), q, opt)
+	s, _ := SingleSourceCtx(context.Background(), g, q, opt)
 	return s
 }
 
 // SingleSourceCtx is SingleSource with cancellation.
 func SingleSourceCtx(ctx context.Context, g *graph.Graph, q int, opt Options) ([]float64, error) {
-	return SingleSourceFromTransition(ctx, sparse.ForwardTransition(g), q, opt)
-}
-
-// SingleSourceFromTransition answers one query against a pre-built forward
-// transition matrix.
-func SingleSourceFromTransition(ctx context.Context, w *sparse.CSR, q int, opt Options) ([]float64, error) {
-	dst := make([]float64, w.R)
-	if err := SingleSourceWS(ctx, w, q, opt, nil, dst); err != nil {
+	dst := make([]float64, g.N())
+	if err := SingleSourceWS(ctx, sparse.ForwardTransition(g), q, opt, nil, dst); err != nil {
 		return nil, err
 	}
 	return dst, nil
 }
 
-// SingleSourceWS is the workspace form of the single-source kernel: scores
-// accumulate into dst (length n) and the two walk buffers come from ws (nil
-// for a private one), so a pooling caller pays zero allocations per query.
-// The arithmetic is bitwise-identical to the allocating kernel.
+// SingleSourceWS is the dense single-source kernel: scores accumulate into
+// dst (length n) and the two walk buffers come from ws (nil for a private
+// one), so a caller reusing both pays zero allocations per query. It is the
+// bitwise reference for SingleSourceFrontier.
 //
 //simstar:noalloc
 func SingleSourceWS(ctx context.Context, w *sparse.CSR, q int, opt Options, ws *sparse.Workspace, dst []float64) error {
@@ -136,8 +119,6 @@ func SingleSourceWS(ctx context.Context, w *sparse.CSR, q int, opt Options, ws *
 		panic("rwr: SingleSourceWS workspace dimension mismatch")
 	}
 	ws.Reset()
-	sw := opt.Parallel
-	wt := opt.Transposed
 	// Row q of Σ Cᵏ Wᵏ: iterate vᵀ ← vᵀW, i.e. v ← Wᵀv.
 	cur := ws.Take()
 	cur[q] = 1
@@ -157,87 +138,26 @@ func SingleSourceWS(ctx context.Context, w *sparse.CSR, q int, opt Options, ws *
 		if k == opt.K {
 			break
 		}
-		if sw != nil && wt != nil {
-			sw.MulVecInto(wt, next, cur)
-		} else {
-			w.MulVecTInto(next, cur)
-		}
+		w.MulVecTInto(next, cur)
 		sweeps++
 		cur, next = next, cur
 		coef *= opt.C
 	}
-	if opt.Sieve > 0 {
-		for i, v := range dst {
-			if v < opt.Sieve {
-				dst[i] = 0
-			}
-		}
-	}
+	sieveVec(dst, opt.Sieve)
 	if tr := opt.Trace; tr != nil {
 		tr.AddSweeps(sweeps)
-		if sw != nil {
-			tr.AddParSweeps(sw.TakeParSweeps(), sw.Workers())
-		}
 	}
 	return nil
 }
 
-// SingleSourceTopKWS fuses the single-source RWR kernel with bounded top-k
-// selection: the full score vector lands in scores (length n, scratch — the
-// kernel resets ws, so scores must not come from the same workspace) and the
-// selected entries are built in dst's backing array. With a pooled scores
-// buffer and cap(dst) >= k the query materialises only its k results.
-// Entries and order are exactly core.TopK(SingleSourceWS..., k, exclude...).
-func SingleSourceTopKWS(ctx context.Context, w *sparse.CSR, q, k int, opt Options, ws *sparse.Workspace, scores []float64, dst []core.Ranked, exclude ...int) ([]core.Ranked, error) {
-	if err := SingleSourceWS(ctx, w, q, opt, ws, scores); err != nil {
-		return nil, err
+// sieveVec zeroes the entries of x below eps (a no-op for eps <= 0).
+func sieveVec(x []float64, eps float64) {
+	if eps <= 0 {
+		return
 	}
-	return core.TopKInto(scores, k, dst, exclude...), nil
-}
-
-// MultiSourceFromTransition answers one single-source RWR query per entry
-// of nodes against a pre-built forward transition matrix w and its
-// materialised transpose wt, by running the series iteration on an n×B
-// dense block instead of B separate vectors. Result i is exactly
-// SingleSourceFromTransition(ctx, w, nodes[i], opt): same coefficients,
-// same accumulation order — only the sweep over W's CSR structure is
-// shared across the block.
-func MultiSourceFromTransition(ctx context.Context, w, wt *sparse.CSR, nodes []int, opt Options) ([][]float64, error) {
-	opt = opt.withDefaults()
-	n := w.R
-	b := len(nodes)
-	if b == 0 {
-		return nil, nil
-	}
-	cur := dense.New(n, b)
-	for t, q := range nodes {
-		cur.Row(q)[t] = 1
-	}
-	out := dense.New(n, b)
-	tmp := dense.New(n, b)
-	coef := 1 - opt.C
-	for k := 0; ; k++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		dense.Axpy(out.Data, coef, cur.Data)
-		if k == opt.K {
-			break
-		}
-		if sw := opt.Parallel; sw != nil {
-			sw.MulDenseInto(wt, tmp, cur)
-		} else {
-			wt.MulDenseInto(tmp, cur)
-		}
-		cur, tmp = tmp, cur
-		coef *= opt.C
-	}
-	if opt.Sieve > 0 {
-		for i, v := range out.Data {
-			if v < opt.Sieve {
-				out.Data[i] = 0
-			}
+	for i, v := range x {
+		if v < eps {
+			x[i] = 0
 		}
 	}
-	return out.SplitColumns(), nil
 }

@@ -4,13 +4,12 @@ import (
 	"context"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/sparse"
 )
 
-// The workspace kernel promises bitwise equality with the allocating
-// kernel, and one reused workspace/dst pair must not leak state across
+// The workspace kernel promises bitwise equality with the allocating form,
+// and one reused workspace/dst pair must not leak state across
 // queries.
 func TestSingleSourceWSBitwise(t *testing.T) {
 	g := dataset.RMATDefault(7, 4, 77)
@@ -20,7 +19,7 @@ func TestSingleSourceWSBitwise(t *testing.T) {
 	dst := make([]float64, w.R)
 	for _, opt := range []Options{{C: 0.6, K: 5}, {C: 0.9, K: 1}, {C: 0.6, K: 4, Sieve: 1e-3}} {
 		for q := 0; q < w.R; q += 13 {
-			want, err := SingleSourceFromTransition(ctx, w, q, opt)
+			want, err := SingleSourceCtx(ctx, g, q, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -33,48 +32,6 @@ func TestSingleSourceWSBitwise(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// The fused top-k form must select exactly what core.TopK selects from the
-// materialized vector, for every dst shape on the pooled path.
-func TestSingleSourceTopKWSMatchesMaterialized(t *testing.T) {
-	g := dataset.RMATDefault(7, 4, 79)
-	w := sparse.ForwardTransition(g)
-	ctx := context.Background()
-	ws := sparse.NewWorkspace(w.R)
-	scores := make([]float64, w.R)
-	dst := make([]core.Ranked, 0, 8)
-	opt := Options{C: 0.6, K: 5}
-	for q := 0; q < w.R; q += 17 {
-		full, err := SingleSourceFromTransition(ctx, w, q, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := core.TopK(full, 8, q)
-		got, err := SingleSourceTopKWS(ctx, w, q, 8, opt, ws, scores, dst, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("q=%d: %d results, want %d", q, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("q=%d: [%d] = %+v, want %+v", q, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-func TestSingleSourceTopKWSCancellation(t *testing.T) {
-	g := dataset.RMATDefault(6, 4, 80)
-	w := sparse.ForwardTransition(g)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	scores := make([]float64, w.R)
-	if _, err := SingleSourceTopKWS(ctx, w, 0, 5, Options{}, nil, scores, nil); err != context.Canceled {
-		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
 

@@ -4,12 +4,13 @@ import "slices"
 
 // Frontier is a sparse non-negative vector accumulator over a fixed
 // dimension: a dense scratch array plus the list of touched indices. It is
-// the substrate of the threshold-sieved approximate kernels — a propagation
-// frontier that stays proportional to the mass actually in flight instead of
-// the full node count, so a sweep costs O(Σ deg(frontier)) rather than O(m).
+// the substrate of the frontier kernels the engine serves every
+// single-source query from — a propagation frontier that stays
+// proportional to the mass actually in flight instead of the full node
+// count, so a sweep costs O(Σ deg(frontier)) rather than O(m).
 //
 // The accumulator relies on every added value being strictly positive (all
-// sieved kernels propagate non-negative mass): an index is considered
+// frontier kernels propagate non-negative mass): an index is considered
 // touched exactly when its scratch entry is non-zero, so zero or negative
 // contributions that could cancel an entry back to zero would corrupt the
 // touched list. Add enforces this by ignoring v <= 0.
@@ -82,13 +83,16 @@ func (f *Frontier) AddScaledInto(dst []float64, coef float64) {
 	}
 }
 
-// Dense scatters the frontier into a fresh dense vector, scaled by coef.
-func (f *Frontier) Dense(coef float64) []float64 {
-	out := make([]float64, len(f.val))
-	for _, i := range f.idx {
-		out[i] = coef * f.val[i]
+// ScaledTo overwrites the dense vector dst with coef·f: zero everywhere the
+// frontier is untouched. It is how a frontier kernel hands its result to a
+// caller-owned buffer without allocating.
+func (f *Frontier) ScaledTo(dst []float64, coef float64) {
+	for i := range dst {
+		dst[i] = 0
 	}
-	return out
+	for _, i := range f.idx {
+		dst[i] = coef * f.val[i]
+	}
 }
 
 // Sieve removes every entry strictly below tau, compacting the touched list
@@ -124,16 +128,25 @@ func (f *Frontier) Sieve(tau float64) (dropped, maxDropped float64) {
 // m = Qᵀ materialised it computes Q·src, one sparse forward sweep. dst and
 // src must be distinct frontiers of matching dimensions.
 //
-// The touched list of dst comes back sorted ascending. First-touch order is
-// an artefact of src's traversal order, and everything downstream of a sweep
-// (later sweeps, sieve compaction, dropped-mass summation) iterates the
-// touched list — canonicalising it here is what makes the parallel sweep
-// form (Sweeper.ScatterMulT), which discovers first touches per output
-// range, bitwise-identical to this serial form, certificates included.
+// Every sweep visits the sources in ascending index order: src's touched
+// list is sorted first. That ordering invariant is what makes a frontier
+// kernel at tolerance 0 bitwise-equal to the dense kernels — each output
+// element then accumulates its terms in exactly the order a dense scatter
+// over all rows (MulVecTInto), or a dense gather along an ascending CSR row
+// of the transpose (MulVecInto), adds them. First-touch order is otherwise
+// an artefact of how src was built: AddScaled appends new entries after old
+// ones, so a Horner accumulator comes out of order.
+//
+// The touched list of dst comes back sorted too, so everything downstream
+// of a sweep that iterates it (sieve compaction, dropped-mass summation)
+// runs in the same order in this serial form and in the parallel form
+// (Sweeper.ScatterMulT), which discovers first touches per output range —
+// certificates included.
 func (m *CSR) ScatterMulT(dst, src *Frontier) {
 	if src.Dim() != m.R || dst.Dim() != m.C {
 		panic("sparse: ScatterMulT dimension mismatch")
 	}
+	slices.Sort(src.idx)
 	for _, i := range src.idx {
 		xi := src.val[i]
 		cols, vals := m.RowView(int(i))

@@ -94,6 +94,41 @@ func TestScatterMulTMatchesMulVecT(t *testing.T) {
 	}
 }
 
+// The ordering invariant: a sweep visits its sources in ascending order
+// however the source frontier was built, so a source assembled out of order
+// (AddScaled appends new entries after old ones) scatters bitwise like the
+// dense MulVecTInto, serially and in parallel.
+func TestScatterMulTSourceOrderCanonical(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	g := randomGraph(rng, 300, 3600)
+	m := BackwardTransition(g)
+	a, b := NewFrontier(m.R), NewFrontier(m.R)
+	for i := m.R - 1; i >= 0; i -= 2 {
+		a.Add(int32(i), rng.Float64()+0.01)
+	}
+	for i := 0; i < m.R; i += 3 {
+		b.Add(int32(i), rng.Float64()+0.01)
+	}
+	src := NewFrontier(m.R)
+	src.AddScaled(0.5, a)
+	src.AddScaled(0.25, b)
+	x := make([]float64, m.R)
+	for _, i := range src.idx {
+		x[i] = src.val[i]
+	}
+	want := make([]float64, m.C)
+	m.MulVecTInto(want, x)
+	for _, sw := range []*Sweeper{nil, NewSweeper(3)} {
+		dst := NewFrontier(m.C)
+		sw.ScatterMulT(m, dst, src)
+		for i, v := range want {
+			if math.Float64bits(dst.At(int32(i))) != math.Float64bits(v) {
+				t.Fatalf("parallel=%t: entry %d = %v, dense scatter %v", sw != nil, i, dst.At(int32(i)), v)
+			}
+		}
+	}
+}
+
 func TestScatterMulTDimensionMismatchPanics(t *testing.T) {
 	g := randomGraph(rand.New(rand.NewSource(1)), 4, 6)
 	q := BackwardTransition(g)

@@ -1,10 +1,10 @@
 package sparse
 
-// Intra-query sweep parallelism. A Sweeper fans one sparse sweep out across
-// a persistent pool of worker goroutines, row-range partitioned so every
-// output element keeps its serial accumulation order — results are
+// Intra-query sweep parallelism. A Sweeper fans one frontier sweep out
+// across a persistent pool of worker goroutines, partitioned by output range
+// so every output element keeps its serial accumulation order — results are
 // bitwise-identical to the serial kernels for any worker count (the
-// conformance tests in parallel_test.go and simstar/parallel_test.go pin
+// conformance tests in parallel_test.go and simstar's differential table pin
 // this for every measure).
 //
 // Why a persistent pool instead of par.For: the zero-alloc serving discipline.
@@ -27,31 +27,14 @@ import (
 	"slices"
 	"sync"
 
-	"repro/internal/dense"
 	"repro/internal/par"
 )
 
-// sweepKind selects the kernel body a sweepTask runs.
-type sweepKind uint8
-
-const (
-	sweepMulVec sweepKind = iota
-	sweepMulVecAdd
-	sweepMulVecAddScale
-	sweepGather
-	sweepDensePanels
-	sweepDenseAxpy
-)
-
-// sweepTask is one row-range slice of a sweep. It is deliberately a flat
-// struct of slice headers and pointers: sending it over a channel copies the
-// value and allocates nothing.
+// sweepTask is one output-range slice of a frontier sweep. It is
+// deliberately a flat struct of pointers: sending it over a channel copies
+// the value and allocates nothing.
 type sweepTask struct {
-	kind     sweepKind
 	m        *CSR
-	y, x, ad []float64
-	scale    float64
-	c, b     *dense.Matrix
 	dst, src *Frontier
 	seg      *[]int32
 	lo, hi   int
@@ -59,24 +42,10 @@ type sweepTask struct {
 	pan      *par.PanicBox
 }
 
-// run executes the task's range. Every branch writes only to the task's own
-// output rows (vector/dense kinds) or output columns (gather), so concurrent
-// tasks of one sweep never touch the same element.
+// run executes the task's range. It writes only to dst's output columns in
+// [lo, hi), so concurrent tasks of one sweep never touch the same element.
 func (t *sweepTask) run() {
-	switch t.kind {
-	case sweepMulVec:
-		t.m.mulVecRange(t.y, t.x, t.lo, t.hi)
-	case sweepMulVecAdd:
-		t.m.mulVecAddRange(t.y, t.x, t.ad, t.lo, t.hi)
-	case sweepMulVecAddScale:
-		t.m.mulVecAddScaleRange(t.y, t.x, t.ad, t.scale, t.lo, t.hi)
-	case sweepGather:
-		t.m.gatherMulTRange(t.dst, t.src, t.lo, t.hi, t.seg)
-	case sweepDensePanels:
-		t.m.mulDensePanelsRange(t.c, t.b, t.lo, t.hi)
-	case sweepDenseAxpy:
-		t.m.mulDenseAxpyRange(t.c, t.b, t.lo, t.hi)
-	}
+	t.m.gatherMulTRange(t.dst, t.src, t.lo, t.hi, t.seg)
 }
 
 // sweepWorker parks on its channel between tasks. It exits when the channel
@@ -114,7 +83,8 @@ type sweeperChans struct {
 	chs []chan sweepTask
 }
 
-// Sweeper drives row-range parallel sweeps over a persistent worker pool.
+// Sweeper drives output-range parallel frontier sweeps over a persistent
+// worker pool.
 // Not safe for concurrent use: one borrower at a time (pool Sweepers like
 // Workspaces). The zero value is not usable; call NewSweeper.
 type Sweeper struct {
@@ -171,43 +141,6 @@ func (s *Sweeper) TakeParSweeps() int {
 	return n
 }
 
-// dispatch partitions [0, n) across the configured workers and runs t's
-// kernel on each range: workers-1 ranges go to parked pool goroutines, the
-// first range runs on the caller (mirroring par.For's final-chunk-inline
-// shape). With one worker (or n too small to split) the whole range runs
-// inline.
-func (s *Sweeper) dispatch(t sweepTask, n int) {
-	workers := s.workers
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		if n > 0 {
-			t.lo, t.hi = 0, n
-			t.run()
-		}
-		return
-	}
-	t.wg = &s.wg
-	t.pan = &s.pan
-	chunk := (n + workers - 1) / workers
-	s.wg.Add(workers - 1)
-	lo := chunk
-	for i := 0; i < workers-1; i++ {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		t2 := t
-		t2.lo, t2.hi = lo, hi
-		s.box.chs[i] <- t2
-		lo = hi
-	}
-	t.lo, t.hi = 0, chunk
-	s.runCallerChunk(t)
-	s.parSweeps++
-}
-
 // runCallerChunk runs the caller's inline range of a fanned-out sweep. The
 // deferred barrier runs even when the inline range panics — the workers are
 // still writing into the sweep's buffers and must finish before the caller
@@ -219,47 +152,6 @@ func (s *Sweeper) runCallerChunk(t sweepTask) {
 		s.pan.Rethrow()
 	}()
 	t.run()
-}
-
-// MulVecInto is the parallel form of m.MulVecInto: y = m·x, row-range
-// partitioned, bitwise-identical to the serial kernel.
-func (s *Sweeper) MulVecInto(m *CSR, y, x []float64) {
-	if len(x) != m.C || len(y) != m.R {
-		panic("sparse: MulVecInto dimension mismatch")
-	}
-	s.dispatch(sweepTask{kind: sweepMulVec, m: m, y: y, x: x}, m.R)
-}
-
-// MulVecAddInto is the parallel form of m.MulVecAddInto: y = m·x + add.
-func (s *Sweeper) MulVecAddInto(m *CSR, y, x, add []float64) {
-	if len(x) != m.C || len(y) != m.R || len(add) != m.R {
-		panic("sparse: MulVecAddInto dimension mismatch")
-	}
-	s.dispatch(sweepTask{kind: sweepMulVecAdd, m: m, y: y, x: x, ad: add}, m.R)
-}
-
-// MulVecAddScaleInto is the parallel form of m.MulVecAddScaleInto:
-// y = (m·x + add)·scale.
-func (s *Sweeper) MulVecAddScaleInto(m *CSR, y, x, add []float64, scale float64) {
-	if len(x) != m.C || len(y) != m.R || len(add) != m.R {
-		panic("sparse: MulVecAddScaleInto dimension mismatch")
-	}
-	s.dispatch(sweepTask{kind: sweepMulVecAddScale, m: m, y: y, x: x, ad: add, scale: scale}, m.R)
-}
-
-// MulDenseInto is the parallel form of m.MulDenseInto: c = m·b with the
-// sweeper's worker count instead of par.For's default GOMAXPROCS fan-out.
-// The panel/axpy crossover is the same as the serial dispatch, so the
-// numbers are bitwise-identical for any width and worker count.
-func (s *Sweeper) MulDenseInto(m *CSR, c, b *dense.Matrix) {
-	if m.C != b.Rows || c.Rows != m.R || c.Cols != b.Cols {
-		panic("sparse: MulDense shape mismatch")
-	}
-	kind := sweepDenseAxpy
-	if b.Cols <= PanelMaxCols {
-		kind = sweepDensePanels
-	}
-	s.dispatch(sweepTask{kind: kind, m: m, c: c, b: b}, m.R)
 }
 
 // parallelGatherMin is the src support size below which Sweeper.ScatterMulT
@@ -278,11 +170,13 @@ const parallelGatherMin = 32
 // idx included.
 //
 // dst must be empty (just Reset, as every kernel call site does): first-touch
-// detection reads dst's scratch zeros. A non-empty dst falls back to serial.
+// detection reads dst's scratch zeros. A non-empty dst falls back to serial,
+// and so does a nil Sweeper — kernels pass their optional Sweeper straight
+// through.
 func (s *Sweeper) ScatterMulT(m *CSR, dst, src *Frontier) {
-	workers := s.workers
-	if workers > m.C {
-		workers = m.C
+	workers := 1
+	if s != nil {
+		workers = min(s.workers, m.C)
 	}
 	if workers <= 1 || src.Len() < parallelGatherMin || dst.Len() != 0 {
 		m.ScatterMulT(dst, src)
@@ -291,7 +185,10 @@ func (s *Sweeper) ScatterMulT(m *CSR, dst, src *Frontier) {
 	if src.Dim() != m.R || dst.Dim() != m.C {
 		panic("sparse: ScatterMulT dimension mismatch")
 	}
-	t := sweepTask{kind: sweepGather, m: m, dst: dst, src: src, wg: &s.wg, pan: &s.pan}
+	// The same source-order canonicalisation as the serial form: every
+	// worker scans the support in ascending order.
+	slices.Sort(src.idx)
+	t := sweepTask{m: m, dst: dst, src: src, wg: &s.wg, pan: &s.pan}
 	chunk := (m.C + workers - 1) / workers
 	s.wg.Add(workers - 1)
 	lo := chunk

@@ -5,8 +5,6 @@ import (
 	"runtime"
 	"slices"
 	"testing"
-
-	"repro/internal/dense"
 )
 
 // workerCounts are the fan-outs every parallel-vs-serial test sweeps,
@@ -14,102 +12,6 @@ import (
 // dimensions evenly.
 func workerCounts() []int {
 	return []int{1, 2, 3, 7, runtime.GOMAXPROCS(0), 2 * runtime.GOMAXPROCS(0)}
-}
-
-func densityVec(rng *rand.Rand, n int, density float64) []float64 {
-	x := make([]float64, n)
-	for i := range x {
-		if rng.Float64() < density {
-			x[i] = rng.Float64()
-		}
-	}
-	return x
-}
-
-// TestSweeperVectorKernelsBitwise pins that the Sweeper's row-range forms of
-// the three fused vector kernels reproduce the serial kernels bitwise for
-// every worker count.
-func TestSweeperVectorKernelsBitwise(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	g := randomGraph(rng, 301, 2400)
-	for _, m := range []*CSR{BackwardTransition(g), ForwardTransition(g)} {
-		x := densityVec(rng, m.C, 0.7)
-		add := densityVec(rng, m.R, 0.9)
-		wantMul := make([]float64, m.R)
-		m.MulVecInto(wantMul, x)
-		wantAdd := make([]float64, m.R)
-		m.MulVecAddInto(wantAdd, x, add)
-		wantAddScale := make([]float64, m.R)
-		m.MulVecAddScaleInto(wantAddScale, x, add, 0.4)
-		for _, w := range workerCounts() {
-			sw := NewSweeper(w)
-			got := make([]float64, m.R)
-			sw.MulVecInto(m, got, x)
-			if !slices.Equal(got, wantMul) {
-				t.Fatalf("workers=%d: MulVecInto differs from serial", w)
-			}
-			sw.MulVecAddInto(m, got, x, add)
-			if !slices.Equal(got, wantAdd) {
-				t.Fatalf("workers=%d: MulVecAddInto differs from serial", w)
-			}
-			sw.MulVecAddScaleInto(m, got, x, add, 0.4)
-			if !slices.Equal(got, wantAddScale) {
-				t.Fatalf("workers=%d: MulVecAddScaleInto differs from serial", w)
-			}
-			if w > 1 && sw.TakeParSweeps() == 0 {
-				t.Fatalf("workers=%d: no sweep fanned out", w)
-			}
-		}
-	}
-}
-
-// TestSweeperMulVecMatchesTransposeScatter pins the substitution the exact
-// kernels rely on: a (parallel) gather over the materialised transpose is
-// bitwise-identical to the serial scatter MulVecTInto, zero-skip and all.
-func TestSweeperMulVecMatchesTransposeScatter(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	g := randomGraph(rng, 257, 2100)
-	for _, m := range []*CSR{BackwardTransition(g), ForwardTransition(g)} {
-		mt := m.Transpose()
-		x := densityVec(rng, m.R, 0.5) // sparse x exercises the scatter's zero-skip
-		want := make([]float64, m.C)
-		m.MulVecTInto(want, x)
-		for _, w := range workerCounts() {
-			sw := NewSweeper(w)
-			got := make([]float64, m.C)
-			sw.MulVecInto(mt, got, x)
-			if !slices.Equal(got, want) {
-				t.Fatalf("workers=%d: gather over transpose differs from serial scatter", w)
-			}
-		}
-	}
-}
-
-// TestSweeperMulDenseBitwise pins the dense SpMM on both sides of the
-// panel/axpy crossover.
-func TestSweeperMulDenseBitwise(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	g := randomGraph(rng, 211, 1700)
-	m := BackwardTransition(g)
-	for _, cols := range []int{1, 4, PanelMaxCols, PanelMaxCols + 1, 64} {
-		b := dense.New(m.C, cols)
-		for i := 0; i < m.C; i++ {
-			row := b.Row(i)
-			for j := range row {
-				row[j] = rng.Float64()
-			}
-		}
-		want := dense.New(m.R, cols)
-		m.MulDenseInto(want, b)
-		for _, w := range workerCounts() {
-			sw := NewSweeper(w)
-			got := dense.New(m.R, cols)
-			sw.MulDenseInto(m, got, b)
-			if !slices.Equal(got.Data, want.Data) {
-				t.Fatalf("cols=%d workers=%d: MulDenseInto differs from serial", cols, w)
-			}
-		}
-	}
 }
 
 // TestSweeperScatterMulTBitwise pins the parallel frontier sweep: values,
@@ -178,19 +80,28 @@ func TestSweeperConfigureReuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	g := randomGraph(rng, 128, 900)
 	m := BackwardTransition(g)
-	x := densityVec(rng, m.C, 1)
-	y := make([]float64, m.R)
-	want := make([]float64, m.R)
-	m.MulVecInto(want, x)
+	src := NewFrontier(m.R)
+	for i := 0; i < m.R; i += 2 {
+		src.Add(int32(i), rng.Float64()+0.01)
+	}
+	want := NewFrontier(m.C)
+	m.ScatterMulT(want, src)
+	got := NewFrontier(m.C)
 	sw := NewSweeper(1)
 	for _, w := range []int{4, 2, 8, 1, 3} {
 		sw.Configure(w)
 		if sw.Workers() != max(w, 1) {
 			t.Fatalf("Workers() = %d after Configure(%d)", sw.Workers(), w)
 		}
-		sw.MulVecInto(m, y, x)
-		if !slices.Equal(y, want) {
-			t.Fatalf("Configure(%d): result differs", w)
+		got.Reset()
+		sw.ScatterMulT(m, got, src)
+		if !slices.Equal(got.idx, want.idx) {
+			t.Fatalf("Configure(%d): touched list differs", w)
+		}
+		for _, i := range want.idx {
+			if got.val[i] != want.val[i] {
+				t.Fatalf("Configure(%d): value at %d differs", w, i)
+			}
 		}
 		ps := sw.TakeParSweeps()
 		if w > 1 && ps != 1 {

@@ -138,4 +138,18 @@ func TestWorkspaceReuse(t *testing.T) {
 			}
 		}
 	}
+	fs := ws.TakeFrontiers(2)
+	fs[0].Add(5, 1)
+	first := fs[0]
+	if got := ws.Grows(); got != 6 {
+		t.Fatalf("Grows = %d after 4 vectors and 2 frontiers, want 6", got)
+	}
+	ws.Reset()
+	fs = ws.TakeFrontiers(1)
+	if fs[0] != first || fs[0].Len() != 0 || fs[0].At(5) != 0 {
+		t.Fatal("TakeFrontiers after Reset did not hand back the first frontier empty")
+	}
+	if got := ws.Grows(); got != 6 {
+		t.Fatalf("Grows = %d after reuse, want 6", got)
+	}
 }

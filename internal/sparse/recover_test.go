@@ -14,18 +14,22 @@ import (
 func TestSweeperWorkerPanicReachesBorrower(t *testing.T) {
 	s := NewSweeper(4)
 	const n = 256
-	// A task with a nil CSR panics in every chunk that runs it — spawned
-	// worker chunks and the caller's inline chunk alike.
-	bad := sweepTask{kind: sweepMulVec, m: nil, y: make([]float64, n), x: make([]float64, n)}
+	src := NewFrontier(n)
+	for i := 0; i < n; i += 2 {
+		src.Add(int32(i), 1)
+	}
+	// A CSR with truncated row offsets panics in every chunk that reads a
+	// row — spawned worker chunks and the caller's inline chunk alike.
+	bad := &CSR{R: n, C: n, RowOff: []int32{0}}
 
 	for round := 0; round < 3; round++ {
 		func() {
 			defer func() {
 				if r := recover(); r == nil {
-					t.Fatalf("round %d: dispatch returned normally, want a re-raised panic", round)
+					t.Fatalf("round %d: sweep returned normally, want a re-raised panic", round)
 				}
 			}()
-			s.dispatch(bad, n)
+			s.ScatterMulT(bad, NewFrontier(n), src)
 		}()
 	}
 
@@ -36,14 +40,11 @@ func TestSweeperWorkerPanicReachesBorrower(t *testing.T) {
 		m.ColIdx[i] = int32(i)
 		m.Val[i] = 1
 	}
-	y, x := make([]float64, n), make([]float64, n)
-	for i := range x {
-		x[i] = float64(i + 1)
-	}
-	s.MulVecInto(m, y, x)
-	for i := range y {
-		if y[i] != x[i] {
-			t.Fatalf("post-panic sweep wrong at %d: got %g want %g", i, y[i], x[i])
+	dst := NewFrontier(n)
+	s.ScatterMulT(m, dst, src)
+	for i := 0; i < n; i++ {
+		if dst.At(int32(i)) != src.At(int32(i)) {
+			t.Fatalf("post-panic sweep wrong at %d: got %g want %g", i, dst.At(int32(i)), src.At(int32(i)))
 		}
 	}
 }
@@ -62,7 +63,9 @@ func TestSweepTaskWithoutBoxReRaises(t *testing.T) {
 		}
 	}()
 	var wgHolder Sweeper
-	task := sweepTask{kind: sweepMulVec, m: nil, y: []float64{0}, x: []float64{0}, wg: &wgHolder.wg, lo: 0, hi: 1}
+	src := NewFrontier(1)
+	src.Add(0, 1)
+	task := sweepTask{m: nil, dst: NewFrontier(1), src: src, seg: new([]int32), wg: &wgHolder.wg, lo: 0, hi: 1}
 	wgHolder.wg.Add(1)
 	runSweepTask(task)
 	panic("swallowed")

@@ -2,10 +2,11 @@ package sparse
 
 import "repro/internal/obs"
 
-// Certified sieving: the approximate kernels drop frontier entries below an
-// adaptive threshold and account every drop against a caller-supplied error
-// budget, so the final result carries a machine-checkable bound on how far
-// it can be from the exact (truncated-series) answer.
+// Certified sieving: under a tolerance the frontier kernels drop entries
+// below an adaptive threshold and account every drop against a
+// caller-supplied error budget, so the final result carries a
+// machine-checkable bound on how far it can be from the exact
+// (truncated-series) answer.
 //
 // The accounting rests on two facts about the transition operators (rows of
 // Q and W sum to at most 1, entries are non-negative):
@@ -25,25 +26,29 @@ import "repro/internal/obs"
 // threshold adapts: early sweeps on tiny frontiers drop little and leave
 // later, denser sweeps more room.
 
-// CertSlack is the floating-point headroom every certificate includes: the
-// sieved kernels accumulate in a different order than the dense exact
-// kernels, and the dropped-mass bound is exact only in real arithmetic.
-// Scores are bounded by 1 and per-entry accumulation chains are far below
-// 10⁴ flops, so 10⁻¹² covers reordering noise with orders of magnitude to
-// spare while remaining negligible against any useful tolerance.
+// CertSlack is the floating-point headroom every non-zero certificate
+// includes: the dropped-mass bound is exact only in real arithmetic, and a
+// drop perturbs how later sums round. Scores are bounded by 1 and per-entry
+// accumulation chains are far below 10⁴ flops, so 10⁻¹² covers that noise
+// with orders of magnitude to spare while remaining negligible against any
+// useful tolerance.
 const CertSlack = 1e-12
 
-// MinCertTolerance is the smallest tolerance the sieved kernels accept:
-// below it the budget cannot fund a single drop past CertSlack, so callers
-// serve the exact kernels (with a zero certificate) instead.
+// MinCertTolerance is the smallest tolerance the frontier kernels sieve at:
+// below it the budget cannot fund a single drop past CertSlack, so the
+// kernels drop nothing and certify 0 — they are then exact, bitwise-equal
+// to the dense kernels.
 const MinCertTolerance = 1e-9
 
 // CertBudget tracks an adaptive sieve budget across a fixed number of sieve
-// points and accumulates the certified error bound actually incurred.
+// points and accumulates the certified error bound actually incurred. The
+// zero value (and any budget made for a tolerance below MinCertTolerance)
+// is exact: it drops nothing and certifies 0.
 type CertBudget struct {
 	remaining float64
 	points    int
 	bound     float64
+	on        bool
 
 	// Trace, when non-nil, receives the certified spend of every sieve
 	// point (obs.KernelTrace.AddSieveSpend) so query traces can show where
@@ -51,16 +56,20 @@ type CertBudget struct {
 	Trace *obs.KernelTrace
 }
 
-// NewCertBudget returns a budget that keeps the final certificate within
+// MakeCertBudget returns a budget that keeps the final certificate within
 // tol across points sieve points: CertSlack is reserved up front and every
-// drop is charged at its downstream weight.
-func NewCertBudget(tol float64, points int) *CertBudget {
-	b := tol - CertSlack
-	if b < 0 {
-		b = 0
+// drop is charged at its downstream weight. A tol below MinCertTolerance
+// returns an exact budget.
+func MakeCertBudget(tol float64, points int) CertBudget {
+	if tol < MinCertTolerance {
+		return CertBudget{}
 	}
-	return &CertBudget{remaining: b, points: points}
+	return CertBudget{remaining: tol - CertSlack, points: points, on: true}
 }
+
+// Sieving reports whether the budget can drop anything — false for an
+// exact budget, whose kernels then skip computing sieve weights.
+func (cb *CertBudget) Sieving() bool { return cb.on }
 
 // allowance is this sieve point's share of the remaining budget.
 func (cb *CertBudget) allowance() float64 {
@@ -106,5 +115,10 @@ func (cb *CertBudget) SievePeak(f *Frontier, w float64) {
 }
 
 // Certificate returns the certified element-wise error bound: everything
-// charged so far plus the floating-point slack.
-func (cb *CertBudget) Certificate() float64 { return cb.bound + CertSlack }
+// charged so far plus the floating-point slack, or 0 for an exact budget.
+func (cb *CertBudget) Certificate() float64 {
+	if !cb.on {
+		return 0
+	}
+	return cb.bound + CertSlack
+}

@@ -156,16 +156,7 @@ func (m *CSR) MulVec(x []float64) []float64 {
 //
 //simstar:noalloc
 func (m *CSR) MulVecInto(y, x []float64) {
-	m.mulVecRange(y, x, 0, m.R)
-}
-
-// mulVecRange computes y[i] = (m·x)[i] for i in [lo, hi). The per-row dot
-// products are independent, so any row partition of [0, R) reproduces
-// MulVecInto bitwise.
-//
-//simstar:noalloc
-func (m *CSR) mulVecRange(y, x []float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
+	for i := 0; i < m.R; i++ {
 		cols, vals := m.RowView(i)
 		var s float64
 		for k, c := range cols {
@@ -229,14 +220,7 @@ func (m *CSR) MulVecAddInto(y, x, add []float64) {
 	if len(x) != m.C || len(y) != m.R || len(add) != m.R {
 		panic("sparse: MulVecAddInto dimension mismatch")
 	}
-	m.mulVecAddRange(y, x, add, 0, m.R)
-}
-
-// mulVecAddRange is the row-range body of MulVecAddInto (see mulVecRange).
-//
-//simstar:noalloc
-func (m *CSR) mulVecAddRange(y, x, add []float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
+	for i := 0; i < m.R; i++ {
 		cols, vals := m.RowView(i)
 		var s float64
 		for k, c := range cols {
@@ -255,15 +239,7 @@ func (m *CSR) MulVecAddScaleInto(y, x, add []float64, scale float64) {
 	if len(x) != m.C || len(y) != m.R || len(add) != m.R {
 		panic("sparse: MulVecAddScaleInto dimension mismatch")
 	}
-	m.mulVecAddScaleRange(y, x, add, scale, 0, m.R)
-}
-
-// mulVecAddScaleRange is the row-range body of MulVecAddScaleInto (see
-// mulVecRange).
-//
-//simstar:noalloc
-func (m *CSR) mulVecAddScaleRange(y, x, add []float64, scale float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
+	for i := 0; i < m.R; i++ {
 		cols, vals := m.RowView(i)
 		var s float64
 		for k, c := range cols {
@@ -282,19 +258,17 @@ func (m *CSR) MulDense(b *dense.Matrix) *dense.Matrix {
 	return c
 }
 
-// PanelMaxCols is the widest right-hand side the register-blocked panel SpMM
+// panelMaxCols is the widest right-hand side the register-blocked panel SpMM
 // handles; wider blocks stream better through the axpy form. The crossover
 // was measured with BenchmarkMulDenseWidth (panel wins up to ~1.8× at width
-// 4–16, loses ~25% at 32+), so small query batches ride the panel kernel and
-// full 64-wide blocks keep the streaming form. Exported because the batch
-// planner uses the same crossover to choose its block width.
-const PanelMaxCols = 16
+// 4–16, loses ~25% at 32+).
+const panelMaxCols = 16
 
 // MulDenseInto computes c = m·b, overwriting c. c must not alias b. Narrow
-// right-hand sides (≤ PanelMaxCols columns — the blocked multi-source path)
-// go through a register-blocked kernel that accumulates 4-column panels in
-// registers, reading each sparse row once per panel instead of re-streaming
-// the B-wide accumulator row per nonzero; wide ones use the scaled-copy +
+// right-hand sides (≤ panelMaxCols columns) go through a register-blocked
+// kernel that accumulates 4-column panels in registers, reading each sparse
+// row once per panel instead of re-streaming the accumulator row per
+// nonzero; wide ones (the n×n all-pairs iterations) use the scaled-copy +
 // axpy form. Both accumulate each output element over the row's nonzeros in
 // the same order, so the results are bitwise-identical to each other and to
 // the single-source gather kernels.
@@ -303,7 +277,7 @@ func (m *CSR) MulDenseInto(c, b *dense.Matrix) {
 		panic(fmt.Sprintf("sparse: MulDense shape mismatch (%dx%d)·(%dx%d)→(%dx%d)",
 			m.R, m.C, b.Rows, b.Cols, c.Rows, c.Cols))
 	}
-	if b.Cols <= PanelMaxCols {
+	if b.Cols <= panelMaxCols {
 		m.mulDensePanelsInto(c, b)
 		return
 	}
@@ -314,28 +288,21 @@ func (m *CSR) MulDenseInto(c, b *dense.Matrix) {
 // contiguous row of b into the accumulator row.
 func (m *CSR) mulDenseAxpyInto(c, b *dense.Matrix) {
 	par.For(m.R, 0, func(lo, hi int) {
-		m.mulDenseAxpyRange(c, b, lo, hi)
+		for i := lo; i < hi; i++ {
+			ci := c.Row(i)
+			cols, vals := m.RowView(i)
+			if len(cols) == 0 {
+				dense.ZeroVec(ci)
+				continue
+			}
+			// First source: scaled copy instead of zero-then-axpy, saving a
+			// full pass over the row.
+			dense.ScaledCopy(ci, vals[0], b.Row(int(cols[0])))
+			for k := 1; k < len(cols); k++ {
+				dense.Axpy(ci, vals[k], b.Row(int(cols[k])))
+			}
+		}
 	})
-}
-
-// mulDenseAxpyRange computes rows [lo, hi) of the axpy-form SpMM. Split out
-// of mulDenseAxpyInto so the Sweeper can drive the same body from its
-// persistent workers.
-func (m *CSR) mulDenseAxpyRange(c, b *dense.Matrix, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		ci := c.Row(i)
-		cols, vals := m.RowView(i)
-		if len(cols) == 0 {
-			dense.ZeroVec(ci)
-			continue
-		}
-		// First source: scaled copy instead of zero-then-axpy, saving a
-		// full pass over the row.
-		dense.ScaledCopy(ci, vals[0], b.Row(int(cols[0])))
-		for k := 1; k < len(cols); k++ {
-			dense.Axpy(ci, vals[k], b.Row(int(cols[k])))
-		}
-	}
 }
 
 // mulDensePanelsInto is the narrow-block SpMM: 4-column panels held in
@@ -347,8 +314,7 @@ func (m *CSR) mulDensePanelsInto(c, b *dense.Matrix) {
 	})
 }
 
-// mulDensePanelsRange computes rows [lo, hi) of the panel-form SpMM (see
-// mulDenseAxpyRange for why the body is range-shaped).
+// mulDensePanelsRange computes rows [lo, hi) of the panel-form SpMM.
 func (m *CSR) mulDensePanelsRange(c, b *dense.Matrix, lo, hi int) {
 	w := b.Cols
 	for i := lo; i < hi; i++ {

@@ -2,22 +2,26 @@ package sparse
 
 import "repro/internal/obs"
 
-// Workspace is a reusable arena of fixed-dimension dense vectors for the
-// iterative single-source kernels. The exact kernels used to allocate (and
-// the runtime to zero) O(K) length-n vectors per query — ~10MB per request
-// at n=100k, K=5 — which dominated steady-state serving cost with GC
-// pressure. A Workspace keeps those buffers alive between queries: Reset
-// returns every buffer to the arena, Take/Raw hand them out again, and after
-// the first few queries the arena stops growing, making the kernels
-// allocation-free.
+// Workspace is a reusable arena of fixed-dimension vectors for the
+// iterative single-source kernels: dense length-n buffers for the dense
+// reference kernels and Frontiers for the frontier kernels the engine
+// serves from. Allocating (and having the runtime zero) O(K) length-n
+// vectors per query — ~10MB per request at n=100k, K=5 — would dominate
+// steady-state serving cost with GC pressure. A Workspace keeps those
+// buffers alive between queries: Reset returns every buffer to the arena,
+// Take/Raw/TakeFrontiers hand them out again, and after the first query the
+// arena stops growing, making the kernels allocation-free.
 //
 // A Workspace is not safe for concurrent use; serving layers pool them (one
 // per in-flight query) rather than share them.
 type Workspace struct {
-	n    int
-	bufs [][]float64
-	next int
-	hdr  [][]float64 // reusable header slice for TakeVecs
+	n      int
+	bufs   [][]float64
+	next   int
+	hdr    [][]float64 // reusable header slice for TakeVecs
+	fronts []*Frontier
+	nextF  int
+	fhdr   []*Frontier // reusable header slice for TakeFrontiers
 
 	// Trace is a per-query kernel-trace scratch the workspace carries so
 	// observed zero-alloc paths have a KernelTrace without allocating one:
@@ -34,7 +38,7 @@ func (w *Workspace) Dim() int { return w.n }
 
 // Reset returns every buffer to the arena. Buffers handed out earlier must
 // not be used afterwards.
-func (w *Workspace) Reset() { w.next = 0 }
+func (w *Workspace) Reset() { w.next, w.nextF = 0, 0 }
 
 // Take returns a zeroed length-n buffer from the arena, growing it on first
 // use.
@@ -58,10 +62,10 @@ func (w *Workspace) Raw() []float64 {
 	return b
 }
 
-// Grows reports how many arena buffers have ever been allocated — the
-// trace-visible distinction between a warm pooled workspace (stable) and a
-// fresh one paying its first-use growth.
-func (w *Workspace) Grows() int { return len(w.bufs) }
+// Grows reports how many arena buffers (dense vectors and frontiers) have
+// ever been allocated — the trace-visible distinction between a warm pooled
+// workspace (stable) and a fresh one paying its first-use growth.
+func (w *Workspace) Grows() int { return len(w.bufs) + len(w.fronts) }
 
 // TakeVecs returns count zeroed buffers in a reusable header slice. The
 // returned slice is only valid until the next TakeVecs or Reset call; a
@@ -72,4 +76,22 @@ func (w *Workspace) TakeVecs(count int) [][]float64 {
 		w.hdr = append(w.hdr, w.Take())
 	}
 	return w.hdr
+}
+
+// TakeFrontiers returns count empty frontiers of dimension n in a reusable
+// header slice, growing the arena on first use. Like TakeVecs, the slice is
+// only valid until the next TakeFrontiers or Reset call. Clearing a handed
+// out frontier costs O(its previous Len), not O(n).
+func (w *Workspace) TakeFrontiers(count int) []*Frontier {
+	w.fhdr = w.fhdr[:0]
+	for i := 0; i < count; i++ {
+		if w.nextF == len(w.fronts) {
+			w.fronts = append(w.fronts, NewFrontier(w.n))
+		}
+		f := w.fronts[w.nextF]
+		w.nextF++
+		f.Reset()
+		w.fhdr = append(w.fhdr, f)
+	}
+	return w.fhdr
 }

@@ -60,39 +60,6 @@ func TestCertifiedApproxConformance(t *testing.T) {
 	}
 }
 
-// Tolerance zero (the default) and tolerances below MinTolerance must stay
-// bitwise-identical to the exact kernels — the approximate machinery must
-// be completely out of the loop, not merely close.
-func TestToleranceZeroIsBitwiseExact(t *testing.T) {
-	g := approxTestGraph(t, 20)
-	ctx := context.Background()
-	base := simstar.NewEngine(g, simstar.WithK(5))
-	for _, tol := range []float64{0, simstar.MinTolerance / 2} {
-		eng := simstar.NewEngine(g, simstar.WithK(5), simstar.WithTolerance(tol))
-		for _, name := range simstar.Names() {
-			for _, q := range []int{0, 19} {
-				want, err := base.SingleSource(ctx, name, q)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, maxErr, err := eng.SingleSourceCertified(ctx, name, q)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if maxErr != 0 {
-					t.Fatalf("%s tol=%g q=%d: exact path reported MaxError %g", name, tol, q, maxErr)
-				}
-				for i := range want {
-					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-						t.Fatalf("%s tol=%g q=%d i=%d: %v not bitwise-equal to exact %v",
-							name, tol, q, i, got[i], want[i])
-					}
-				}
-			}
-		}
-	}
-}
-
 // The result cache must never satisfy a request from an entry computed at a
 // different tolerance — except that exact entries (certificate 0) satisfy
 // every tolerance.
@@ -161,77 +128,5 @@ func TestToleranceCacheKeySemantics(t *testing.T) {
 		if math.Float64bits(res.Scores[i]) != math.Float64bits(want[i]) {
 			t.Fatalf("donor-served scores differ at %d", i)
 		}
-	}
-}
-
-// Batch queries under a tolerance go through the sieved multi-source
-// kernels; every result must carry a certificate consistent with the exact
-// engine, and per-query overrides must control the tolerance query by
-// query.
-func TestBatchCertifiedApprox(t *testing.T) {
-	g := approxTestGraph(t, 60)
-	ctx := context.Background()
-	exact := simstar.NewEngine(g, simstar.WithK(5))
-	approx := simstar.NewEngine(g, simstar.WithK(5), simstar.WithTolerance(1e-4))
-
-	queries := []simstar.Query{
-		{Measure: simstar.MeasureGeometric, Node: 1},
-		{Measure: simstar.MeasureGeometric, Node: 2},
-		{Measure: simstar.MeasureGeometric, Node: 1}, // duplicate
-		{Measure: simstar.MeasureExponential, Node: 5},
-		{Measure: simstar.MeasureRWR, Node: 9},
-		{Measure: simstar.MeasurePRank, Node: 4}, // no sieved path: exact
-	}
-	results := approx.MultiSource(ctx, queries)
-	for i, res := range results {
-		if res.Err != nil {
-			t.Fatalf("query %d: %v", i, res.Err)
-		}
-		if res.MaxError > 1e-4 {
-			t.Fatalf("query %d: MaxError %g exceeds tolerance", i, res.MaxError)
-		}
-		want, err := exact.SingleSource(ctx, queries[i].Measure, queries[i].Node)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for j := range want {
-			if diff := math.Abs(res.Scores[j] - want[j]); diff > res.MaxError {
-				t.Fatalf("query %d j=%d: |approx−exact| = %g exceeds certificate %g", i, j, diff, res.MaxError)
-			}
-		}
-	}
-	if results[5].MaxError != 0 {
-		t.Fatalf("P-Rank (no sieved path) reported MaxError %g, want 0", results[5].MaxError)
-	}
-	// Duplicates inside one batch share one computation and one certificate.
-	if results[0].MaxError != results[2].MaxError {
-		t.Fatalf("duplicate queries disagree on MaxError: %g vs %g", results[0].MaxError, results[2].MaxError)
-	}
-
-	// A per-query override turns approximation on for that query alone.
-	over := exact.MultiSource(ctx, []simstar.Query{
-		{Measure: simstar.MeasureGeometric, Node: 11},
-		{Measure: simstar.MeasureGeometric, Node: 12, Opts: []simstar.Option{simstar.WithTolerance(1e-3)}},
-	})
-	if over[0].Err != nil || over[1].Err != nil {
-		t.Fatalf("override batch errors: %v %v", over[0].Err, over[1].Err)
-	}
-	if over[0].MaxError != 0 {
-		t.Fatalf("exact query in override batch has MaxError %g", over[0].MaxError)
-	}
-	if over[1].MaxError <= 0 || over[1].MaxError > 1e-3 {
-		t.Fatalf("overridden query MaxError %g outside (0, 1e-3]", over[1].MaxError)
-	}
-
-	// BatchTopK threads the certificate alongside the ranking.
-	top := approx.BatchTopK(ctx, []simstar.Query{{Measure: simstar.MeasureGeometric, Node: 1, K: 5}})[0]
-	if top.Err != nil {
-		t.Fatal(top.Err)
-	}
-	if len(top.Top) != 5 {
-		t.Fatalf("topk returned %d entries", len(top.Top))
-	}
-	if top.MaxError <= 0 || top.MaxError > 1e-4 {
-		t.Fatalf("topk MaxError %g outside (0, 1e-4]", top.MaxError)
 	}
 }

@@ -12,8 +12,8 @@ import (
 
 // The batch path must be a pure performance construct: for every registered
 // measure, MultiSource answers exactly what per-query SingleSource answers.
-// The cache is disabled so the comparison pits the blocked kernels against
-// a genuine per-query recomputation, not against their own cached output.
+// The cache is disabled so the comparison pits the batch fan-out against a
+// genuine per-query recomputation, not against its own cached output.
 func TestMultiSourceMatchesSingleSource(t *testing.T) {
 	g := toyGraph(t)
 	ctx := context.Background()

@@ -77,10 +77,9 @@ func BenchmarkSingleSourceRWRRebuildPerCall(b *testing.B) {
 }
 
 // The batch layer's reason to exist: the same queries through MultiSource
-// versus a serial SingleSource loop. Both run with the result cache
-// disabled, so the gap is the blocked kernels (one SpMM sweep per iteration
-// for the whole block instead of one matvec per query) plus, on multi-core
-// hosts, the worker fan-out — not cache hits. Compare:
+// versus a serial SingleSource loop. Both run the same frontier kernel with
+// the result cache disabled, so the gap is the worker fan-out on multi-core
+// hosts — not cache hits. Compare:
 //
 //	go test ./simstar -bench 'Batch' -benchmem
 const batchBenchQueries = 64

@@ -126,7 +126,7 @@ func (e *Engine) finishEdits(res dyngraph.Result) EditStats {
 	if res.Materialized {
 		old := e.state.Load()
 		g := res.Snapshot.Graph
-		ns := newEngineState(g, res.Snapshot.Epoch, e.cfg.observer)
+		ns := newEngineState(g, res.Snapshot.Epoch, old.poolK, e.cfg.observer)
 		t0 := time.Now()
 		ns.backward = sparse.UpdateBackwardTransition(old.backward, g, res.Delta.DirtyIn)
 		ns.forward = sparse.UpdateForwardTransition(old.forward, g, res.Delta.DirtyOut)

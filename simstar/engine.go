@@ -79,23 +79,27 @@ type engineState struct {
 	g     *Graph
 	epoch uint64
 
-	backward *sparse.CSR // Q: row-normalised transposed adjacency
-	forward  *sparse.CSR // W: row-normalised adjacency
-	comp     *compHolder // edge-concentration compression, possibly lazy
-	tr       *transposes // lazily-materialised Qᵀ, Wᵀ for the batch kernels
+	backward *sparse.CSR    // Q: row-normalised transposed adjacency
+	forward  *sparse.CSR    // W: row-normalised adjacency
+	comp     *compHolder    // edge-concentration compression, possibly lazy
+	qt       *lazyTranspose // Qᵀ, built on first use: the forward sweeps' operator
 
 	// layout is the cache-conscious relabeling of this epoch, nil without
 	// WithRelabeling. The natural-order matrices above always exist — the
 	// incremental refresh splices them, and all-pairs queries run on them —
-	// while the single-source and batch fast paths run on layout's permuted
-	// copies.
+	// while the frontier kernels run on layout's permuted copies.
 	layout *layoutState
 
-	// pool recycles the kernel workspaces of the exact single-source fast
-	// paths, so steady-state queries allocate nothing beyond their result.
-	// Per-state because the workspaces are dimensioned to this epoch's node
-	// count.
-	pool sync.Pool
+	// pool recycles the frontier kernels' workspaces, so steady-state
+	// queries allocate nothing beyond their result. Per-state because the
+	// workspaces are dimensioned to this epoch's node count. A workspace
+	// only returns here from a query that ran at most poolK iterations: a
+	// K=60 query grows its arena to 60-odd frontiers, and pooling it would
+	// pin that memory for every later default-K borrower. A workspace whose
+	// kernel panicked never returns either — its frontiers may be
+	// half-written.
+	pool  sync.Pool
+	poolK int
 
 	// streamPool recycles the score/exclusion scratch of the TopKStream
 	// fast path, so a streamed top-k query materialises no per-query O(n)
@@ -117,12 +121,13 @@ type engineState struct {
 }
 
 // newEngineState assembles the shell of an epoch state: the transition
-// matrices, compression and layout are filled in by the caller. A non-nil
-// observer counts the pool misses — the workspace builds the pool could not
-// serve from a recycled arena (every build allocates anyway, so the hook is
-// off the zero-alloc path by construction).
-func newEngineState(g *Graph, epoch uint64, o *Observer) *engineState {
-	st := &engineState{g: g, epoch: epoch, tr: &transposes{}}
+// matrices, compression and layout are filled in by the caller. poolK is
+// the iteration count workspaces are pooled for (see engineState.pool). A
+// non-nil observer counts the pool misses — the workspace builds the pool
+// could not serve from a recycled arena (every build allocates anyway, so
+// the hook is off the zero-alloc path by construction).
+func newEngineState(g *Graph, epoch uint64, poolK int, o *Observer) *engineState {
+	st := &engineState{g: g, epoch: epoch, qt: &lazyTranspose{}, poolK: poolK}
 	n := g.N()
 	st.pool.New = func() any {
 		if o != nil {
@@ -149,9 +154,9 @@ type layoutState struct {
 	// gather through perm (see toInternal/externalize), so the inverse is
 	// never materialised here.
 
-	backward *sparse.CSR // P·Q·Pᵀ
-	forward  *sparse.CSR // P·W·Pᵀ
-	tr       *transposes // lazily-materialised permuted transposes
+	backward *sparse.CSR    // P·Q·Pᵀ
+	forward  *sparse.CSR    // P·W·Pᵀ
+	qt       *lazyTranspose // lazily-materialised (P·Q·Pᵀ)ᵀ
 }
 
 // newLayoutState derives the permutation for mode from g and permutes the
@@ -173,36 +178,26 @@ func newLayoutState(mode RelabelMode, g *Graph, backward, forward *sparse.CSR) *
 		perm:     perm,
 		backward: sparse.Permute(backward, perm),
 		forward:  sparse.Permute(forward, perm),
-		tr:       &transposes{},
+		qt:       &lazyTranspose{},
 	}
 }
 
-// transposes is a lazily-built pair Qᵀ, Wᵀ for one operator pair.
-type transposes struct {
-	once      sync.Once
-	backwardT *sparse.CSR
-	forwardT  *sparse.CSR
+// lazyTranspose is the materialised transpose of one operator, built on
+// first use: the O(m) build is paid once per epoch, like the transitions
+// themselves, and only once a SimRank* query needs its forward sweeps.
+type lazyTranspose struct {
+	once sync.Once
+	t    *sparse.CSR
 }
 
-// of returns the materialised transposes of (backward, forward), building
-// them on first use. The O(m) build is paid once per epoch, like the
-// transitions themselves, but only by callers of the batch and sieved paths.
-func (tr *transposes) of(backward, forward *sparse.CSR) (backwardT, forwardT *sparse.CSR) {
-	tr.once.Do(func() {
-		tr.backwardT = backward.Transpose()
-		tr.forwardT = forward.Transpose()
-	})
-	return tr.backwardT, tr.forwardT
+// of returns mᵀ, building it on first use.
+func (lt *lazyTranspose) of(m *sparse.CSR) *sparse.CSR {
+	lt.once.Do(func() { lt.t = m.Transpose() })
+	return lt.t
 }
 
-// transposed returns the natural-order transposes.
-func (st *engineState) transposed() (backwardT, forwardT *sparse.CSR) {
-	return st.tr.of(st.backward, st.forward)
-}
-
-// The kernel* accessors return the operators the single-source and batch
-// fast paths should sweep: the relabelled copies when a layout exists, the
-// natural order otherwise.
+// The kernel* accessors return the operators the frontier kernels sweep:
+// the relabelled copies when a layout exists, the natural order otherwise.
 
 func (st *engineState) kernelBackward() *sparse.CSR {
 	if st.layout != nil {
@@ -218,11 +213,11 @@ func (st *engineState) kernelForward() *sparse.CSR {
 	return st.forward
 }
 
-func (st *engineState) kernelTransposed() (backwardT, forwardT *sparse.CSR) {
+func (st *engineState) kernelBackwardT() *sparse.CSR {
 	if st.layout != nil {
-		return st.layout.tr.of(st.layout.backward, st.layout.forward)
+		return st.layout.qt.of(st.layout.backward)
 	}
-	return st.transposed()
+	return st.qt.of(st.backward)
 }
 
 // layoutKey is the layout generation for result-cache keys: 0 without
@@ -279,9 +274,14 @@ func (st *engineState) externalize(scores []float64, ws *sparse.Workspace) {
 	}
 }
 
-// getWS borrows a kernel workspace from the state's pool; putWS returns it.
-func (st *engineState) getWS() *sparse.Workspace   { return st.pool.Get().(*sparse.Workspace) }
-func (st *engineState) putWS(ws *sparse.Workspace) { st.pool.Put(ws) }
+// getWS borrows a kernel workspace from the state's pool; putWS returns one
+// that served a query of k iterations, unless k is past the pooled size.
+func (st *engineState) getWS() *sparse.Workspace { return st.pool.Get().(*sparse.Workspace) }
+func (st *engineState) putWS(ws *sparse.Workspace, k int) {
+	if k <= st.poolK {
+		st.pool.Put(ws)
+	}
+}
 
 // getSweeper borrows a sweep-parallelism worker pool; putSweeper returns it.
 func (st *engineState) getSweeper() *sparse.Sweeper   { return st.sweepers.Get().(*sparse.Sweeper) }
@@ -386,7 +386,7 @@ func NewEngine(g *Graph, opts ...Option) *Engine {
 	e.store = dyngraph.New(g,
 		dyngraph.WithInterval(e.cfg.epochInterval),
 		dyngraph.WithBaseEpoch(e.cfg.baseEpoch))
-	st := newEngineState(g, e.cfg.baseEpoch, e.cfg.observer)
+	st := newEngineState(g, e.cfg.baseEpoch, e.cfg.iterationsOrDefault(), e.cfg.observer)
 	t0 := time.Now()
 	st.backward = sparse.BackwardTransition(g)
 	st.forward = sparse.ForwardTransition(g)
@@ -480,12 +480,25 @@ func (e *Engine) SingleSource(ctx context.Context, measureName string, q int) ([
 
 // SingleSourceCertified is SingleSource plus the result's MaxError
 // certificate: a machine-checkable bound on the element-wise deviation of
-// the returned scores from the exact kernels at the same parameters. It is
+// the returned scores from the exact answer at the same parameters. It is
 // 0 for exact queries (the default) and at most the configured tolerance
-// for sieved-approximate ones.
+// under WithTolerance.
 func (e *Engine) SingleSourceCertified(ctx context.Context, measureName string, q int) ([]float64, float64, error) {
 	scores, maxErr, _, err := e.singleSource(ctx, e.load(), measureName, q)
 	return scores, maxErr, err
+}
+
+// cacheKey is the result-cache key of query q on the named measure under
+// the engine's parameters, against the pinned state st.
+func (e *Engine) cacheKey(st *engineState, measureName string, q int) cacheKey {
+	return cacheKey{
+		measure: canonical(measureName),
+		gen:     registryGeneration(),
+		epoch:   st.epoch,
+		layout:  st.layoutKey(),
+		params:  e.cfg.cacheParams(),
+		node:    q,
+	}
 }
 
 // cacheLookup probes the result cache for key, then — for an approximate
@@ -543,14 +556,10 @@ func (e *Engine) singleSourceObs(ctx context.Context, st *engineState, measureNa
 		o.observeCancel(ctx, err)
 		return nil, 0, false, err
 	}
-	key := cacheKey{
-		measure: canonical(measureName),
-		gen:     registryGeneration(),
-		epoch:   st.epoch,
-		layout:  st.layoutKey(),
-		params:  e.cfg.cacheParams(),
-		node:    q,
+	if err := e.cfg.checkIterations(builtinFor(measureName)); err != nil {
+		return nil, 0, false, err
 	}
+	key := e.cacheKey(st, measureName, q)
 	if tr != nil {
 		tr.Measure = key.measure
 		tr.Node = q
@@ -572,28 +581,19 @@ func (e *Engine) singleSourceObs(ctx context.Context, st *engineState, measureNa
 		return scores, maxErr, true, nil
 	}
 	var kt *obs.KernelTrace
-	switch {
-	case tr != nil:
+	if tr != nil {
 		kt = &tr.Kernel
-	case o != nil:
-		// Observer-only: this path allocates its result vector anyway, so a
-		// transient trace to aggregate from is free in comparison.
-		kt = new(obs.KernelTrace)
 	}
 	t0 = time.Now()
 	scores, maxErr, err := e.safeComputeSingleSource(ctx, st, measureName, q, kt)
-	kernelTime := time.Since(t0)
 	if err != nil {
 		o.observeCancel(ctx, err)
 		return nil, 0, false, err
 	}
-	if o != nil {
-		o.recordKernel(kt, kernelTime)
-	}
 	if tr != nil {
-		tr.AddSpan("kernel", kernelTime)
+		tr.AddSpan("kernel", time.Since(t0))
 		tr.MaxError = maxErr
-		if e.cfg.tolerance >= MinTolerance && fastPathKernel(builtinFor(measureName)) {
+		if key.params.tolerance > 0 && fastPathKernel(builtinFor(measureName)) {
 			tr.Plan = "sieved"
 		} else {
 			tr.Plan = "exact"
@@ -603,127 +603,109 @@ func (e *Engine) singleSourceObs(ctx context.Context, st *engineState, measureNa
 	return scores, maxErr, false, nil
 }
 
-// computeSingleSource is the uncached single-source path: the engine fast
-// paths over the cached (and, under WithRelabeling, permuted) transition
-// matrices for the built-in measures — sieved-approximate under an
-// effective WithTolerance, exact otherwise — and the measure's own
-// implementation for everything else. The second return is the MaxError
-// certificate (0 on every exact path). Fast-path results come back in
-// external id order regardless of layout. kt, when non-nil, receives the
-// kernel-level detail of the fast paths (non-built-in measures report
-// nothing — their kernels are opaque to the engine).
+// computeSingleSource is the uncached single-source path: the frontier
+// kernel (see runFrontier) for the built-in measures with a native
+// single-source form, and the measure's own implementation for everything
+// else. The second return is the MaxError certificate (0 on every exact
+// path). kt, when non-nil, receives the kernel-level detail of the frontier
+// kernels (other measures report nothing — their kernels are opaque to the
+// engine).
 func (e *Engine) computeSingleSource(ctx context.Context, st *engineState, measureName string, q int, kt *obs.KernelTrace) ([]float64, float64, error) {
 	builtin := builtinFor(measureName)
 	if !fastPathKernel(builtin) {
+		t0 := time.Now()
 		m, err := Lookup(measureName, e.opts...)
 		if err != nil {
 			return nil, 0, err
 		}
 		s, err := m.SingleSource(ctx, st.g, q)
+		if err == nil && e.cfg.observer != nil {
+			e.cfg.observer.recordKernel(kt, time.Since(t0))
+		}
 		return s, 0, err
 	}
-	tol := e.cfg.tolerance
-	qi := st.toInternal(q)
+	dst := make([]float64, st.g.N())
+	maxErr, err := e.runFrontier(ctx, st, builtin, q, dst, kt)
+	if err != nil {
+		return nil, 0, err
+	}
+	return dst, maxErr, nil
+}
+
+// runFrontier is the one kernel path behind every single-source, top-k,
+// stream and batch query on the fast-path measures: the frontier kernel for
+// builtin, run for external node q on a pooled workspace in the state's
+// layout, with the scores written to dst (length n) in external id order.
+// The engine's tolerance decides how much the frontiers may drop; below
+// MinTolerance they drop nothing and the answer is exact, bitwise the dense
+// reference kernels', with a zero certificate — the return value. kt
+// (nilable) receives the kernel detail; with an observer attached and kt
+// nil, the workspace-resident trace stands in, so the observed path stays
+// allocation-free too.
+//
+//simstar:noalloc
+func (e *Engine) runFrontier(ctx context.Context, st *engineState, builtin string, q int, dst []float64, kt *obs.KernelTrace) (float64, error) {
+	o := e.cfg.observer
 	ws := st.getWS()
-	defer st.putWS(ws)
+	if kt == nil && o != nil {
+		kt = &ws.Trace
+		kt.Reset()
+	}
 	sw := st.sweeperFor(e.cfg)
 	if sw != nil {
 		defer st.putSweeper(sw)
 	}
-	if tol >= MinTolerance {
-		var (
-			scores []float64
-			maxErr float64
-			err    error
-		)
-		switch builtin {
-		case MeasureGeometric, MeasureGeometricMemo:
-			backwardT, _ := st.kernelTransposed()
-			opt := e.cfg.coreOptions()
-			opt.Trace = kt
-			opt.Parallel = sw
-			scores, maxErr, err = core.ApproxSingleSourceGeometricFromTransition(ctx, st.kernelBackward(), backwardT, qi, tol, opt)
-		case MeasureExponential, MeasureExponentialMemo:
-			backwardT, _ := st.kernelTransposed()
-			opt := e.cfg.coreOptions()
-			opt.Trace = kt
-			opt.Parallel = sw
-			scores, maxErr, err = core.ApproxSingleSourceExponentialFromTransition(ctx, st.kernelBackward(), backwardT, qi, tol, opt)
-		case MeasureRWR:
-			opt := e.cfg.rwrOptions()
-			opt.Trace = kt
-			opt.Parallel = sw
-			scores, maxErr, err = rwr.ApproxSingleSourceFromTransition(ctx, st.kernelForward(), qi, tol, opt)
-		}
-		if err != nil {
-			return nil, 0, err
-		}
-		st.externalize(scores, ws)
-		return scores, maxErr, nil
-	}
-	dst := make([]float64, st.g.N())
+	start := time.Now()
 	grew := ws.Grows()
-	if err := e.exactSingleSourceInto(ctx, st, builtin, qi, ws, sw, dst, kt); err != nil {
-		return nil, 0, err
+	qi := st.toInternal(q)
+	var (
+		maxErr float64
+		err    error
+	)
+	switch builtin {
+	case MeasureGeometric, MeasureGeometricMemo:
+		opt := e.cfg.coreOptions()
+		opt.Trace, opt.Parallel = kt, sw
+		maxErr, err = core.SingleSourceGeometricFrontier(ctx, st.kernelBackward(), st.kernelBackwardT(), qi, e.cfg.tolerance, opt, ws, dst)
+	case MeasureExponential, MeasureExponentialMemo:
+		opt := e.cfg.coreOptions()
+		opt.Trace, opt.Parallel = kt, sw
+		maxErr, err = core.SingleSourceExponentialFrontier(ctx, st.kernelBackward(), st.kernelBackwardT(), qi, e.cfg.tolerance, opt, ws, dst)
+	case MeasureRWR:
+		opt := e.cfg.rwrOptions()
+		opt.Trace, opt.Parallel = kt, sw
+		maxErr, err = rwr.SingleSourceFrontier(ctx, st.kernelForward(), qi, e.cfg.tolerance, opt, ws, dst)
+	default:
+		panic("simstar: unreachable fast-path kernel")
+	}
+	k := e.cfg.iterationsOrDefault()
+	if err != nil {
+		// A cancelled kernel stops between sweeps, so its frontiers are
+		// consistent and the workspace can serve the next query.
+		st.putWS(ws, k)
+		return 0, err
 	}
 	if kt != nil {
 		kt.WorkspaceGrew = ws.Grows() - grew
 	}
 	st.externalize(dst, ws)
-	return dst, 0, nil
-}
-
-// exactSingleSourceInto runs one exact fast-path kernel in the state's
-// layout, writing kernel-order scores into dst from the pooled workspace —
-// the allocation-free core of the serving path. qi is a kernel-layout node
-// id; callers translate the result back with externalize. kt (nilable)
-// threads kernel-level tracing through the options structs — a plain field
-// copy here, with the kernels guarding their own hook sites. sw (nilable)
-// likewise threads the borrowed sweep-parallelism pool, plus the
-// materialised transpose the backward sweeps gather over; the transpose
-// build is a once-per-epoch cost paid only by queries that parallelise.
-//
-//simstar:noalloc
-func (e *Engine) exactSingleSourceInto(ctx context.Context, st *engineState, builtin string, qi int, ws *sparse.Workspace, sw *sparse.Sweeper, dst []float64, kt *obs.KernelTrace) error {
-	switch builtin {
-	case MeasureGeometric, MeasureGeometricMemo:
-		opt := e.cfg.coreOptions()
-		opt.Trace = kt
-		if sw != nil {
-			opt.Parallel = sw
-			opt.Transposed, _ = st.kernelTransposed()
-		}
-		return core.SingleSourceGeometricWS(ctx, st.kernelBackward(), qi, opt, ws, dst)
-	case MeasureExponential, MeasureExponentialMemo:
-		opt := e.cfg.coreOptions()
-		opt.Trace = kt
-		if sw != nil {
-			opt.Parallel = sw
-			opt.Transposed, _ = st.kernelTransposed()
-		}
-		return core.SingleSourceExponentialWS(ctx, st.kernelBackward(), qi, opt, ws, dst)
-	case MeasureRWR:
-		opt := e.cfg.rwrOptions()
-		opt.Trace = kt
-		if sw != nil {
-			opt.Parallel = sw
-			_, opt.Transposed = st.kernelTransposed()
-		}
-		return rwr.SingleSourceWS(ctx, st.kernelForward(), qi, opt, ws, dst)
+	if o != nil {
+		o.recordKernel(kt, time.Since(start))
 	}
-	panic("simstar: unreachable fast-path kernel")
+	st.putWS(ws, k)
+	return maxErr, nil
 }
 
 // SingleSourceInto is the allocation-free variant of SingleSource for
 // steady-state serving loops: the scores of query node q under the named
 // measure are written into dst, which is grown only if its capacity is
-// below the node count, and the filled slice is returned. The exact
-// fast-path measures (geometric and exponential SimRank*, their memo
-// variants, and RWR) run on the engine's pooled kernel workspaces and
-// bypass the result cache entirely — a warmed engine performs zero heap
-// allocations per call. Other measures, and engines configured with
-// WithTolerance, fall back to the allocating SingleSource path (result
-// cache included) and copy into dst.
+// below the node count, and the filled slice is returned. The fast-path
+// measures (geometric and exponential SimRank*, their memo variants, and
+// RWR) run the frontier kernel on the engine's pooled workspaces and bypass
+// the result cache entirely — a warmed engine performs zero heap
+// allocations per call, at any tolerance (use SingleSourceCertified for the
+// certificate). Other measures fall back to the allocating SingleSource
+// path (result cache included) and copy into dst.
 //
 //simstar:noalloc
 func (e *Engine) SingleSourceInto(ctx context.Context, measureName string, q int, dst []float64) (_ []float64, err error) {
@@ -748,40 +730,25 @@ func (e *Engine) SingleSourceInto(ctx context.Context, measureName string, q int
 		dst = dst[:n]
 	}
 	builtin := builtinFor(measureName)
-	if fastPathKernel(builtin) && e.cfg.tolerance < MinTolerance {
-		o := e.cfg.observer
-		ws := st.getWS()
-		defer st.putWS(ws)
-		sw := st.sweeperFor(e.cfg)
-		if sw != nil {
-			defer st.putSweeper(sw)
-		}
-		// With an observer on, the kernel trace lives inside the pooled
-		// workspace — &ws.Trace is a borrow, not an allocation — so the
-		// zero-alloc contract holds with observation on or off.
-		var kt *obs.KernelTrace
-		if o != nil {
-			o.qSingle.Inc()
-			kt = &ws.Trace
-			kt.Reset()
-		}
-		start := time.Now()
-		e.cfg.fireFault(FaultPointKernel)
-		if err := e.exactSingleSourceInto(ctx, st, builtin, st.toInternal(q), ws, sw, dst, kt); err != nil {
-			e.cfg.observer.observeCancel(ctx, err)
+	if !fastPathKernel(builtin) {
+		scores, _, _, err := e.singleSource(ctx, st, measureName, q)
+		if err != nil {
 			return nil, err
 		}
-		st.externalize(dst, ws)
-		if o != nil {
-			o.recordKernel(kt, time.Since(start))
-		}
+		copy(dst, scores)
 		return dst, nil
 	}
-	scores, _, _, err := e.singleSource(ctx, st, measureName, q)
-	if err != nil {
+	if err := e.cfg.checkIterations(builtin); err != nil {
 		return nil, err
 	}
-	copy(dst, scores)
+	if o := e.cfg.observer; o != nil {
+		o.qSingle.Inc()
+	}
+	e.cfg.fireFault(FaultPointKernel)
+	if _, err := e.runFrontier(ctx, st, builtin, q, dst, nil); err != nil {
+		e.cfg.observer.observeCancel(ctx, err)
+		return nil, err
+	}
 	return dst, nil
 }
 
@@ -816,6 +783,9 @@ func (e *Engine) AllPairs(ctx context.Context, measureName string) (_ *Scores, e
 	}
 	st := e.load()
 	builtin := builtinFor(measureName)
+	if err := e.cfg.checkIterations(builtin); err != nil {
+		return nil, err
+	}
 	opt := e.cfg.coreOptions()
 	switch builtin {
 	case MeasureGeometric:

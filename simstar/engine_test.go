@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/simstar"
@@ -215,5 +216,107 @@ func TestEngineRejectsBadQueries(t *testing.T) {
 	}
 	if _, err := eng.AllPairs(ctx, "no-such-measure"); err == nil {
 		t.Fatal("want error for unknown measure")
+	}
+}
+
+// An effective iteration count past the float64-resolution cap — from WithK
+// or derived from WithEps — is refused with a typed error on every query
+// path, before any kernel runs; nothing is clamped. At C = 0.6 the cap is
+// K = 71 (the first K with 0.6^(K+1) < 2⁻⁵³).
+func TestEngineRefusesIterationsPastCap(t *testing.T) {
+	g := toyGraph(t)
+	ctx := context.Background()
+	var kernels atomic.Int64
+	eng := simstar.NewEngine(g, simstar.WithC(0.6), simstar.WithFaultHook(func(string) { kernels.Add(1) }))
+	for _, over := range []*simstar.Engine{
+		eng.With(simstar.WithK(2000)),
+		eng.With(simstar.WithEps(1e-30)), // derives K = 135 geometric, 19 exponential
+	} {
+		check := func(what string, err error) {
+			t.Helper()
+			var ie *simstar.IterationsError
+			if !errors.As(err, &ie) {
+				t.Fatalf("%s: err = %v, want an IterationsError", what, err)
+			}
+			if ie.Max != 71 || ie.K <= ie.Max {
+				t.Fatalf("%s: IterationsError{K: %d, Max: %d}, want Max 71 < K", what, ie.K, ie.Max)
+			}
+		}
+		for _, m := range []string{simstar.MeasureGeometric, simstar.MeasureRWR, simstar.MeasurePRank} {
+			_, err := over.SingleSource(ctx, m, 0)
+			check(m+" SingleSource", err)
+			_, err = over.SingleSourceInto(ctx, m, 0, nil)
+			check(m+" SingleSourceInto", err)
+			_, err = over.TopKStream(ctx, m, 0, 3)
+			check(m+" TopKStream", err)
+			check(m+" BatchTopK", over.BatchTopK(ctx, []simstar.Query{{Measure: m, Node: 0, K: 3}})[0].Err)
+			_, err = over.AllPairs(ctx, m)
+			check(m+" AllPairs", err)
+		}
+	}
+	if n := kernels.Load(); n != 0 {
+		t.Fatalf("%d kernels ran for refused queries", n)
+	}
+	// The exponential form derives a far smaller K from the same ε.
+	if _, err := eng.With(simstar.WithEps(1e-30)).SingleSource(ctx, simstar.MeasureExponential, 0); err != nil {
+		t.Fatalf("exponential at eps 1e-30: %v", err)
+	}
+	// The cap itself is served.
+	if _, err := eng.With(simstar.WithK(71)).SingleSource(ctx, simstar.MeasureGeometric, 0); err != nil {
+		t.Fatalf("K = 71: %v", err)
+	}
+	// K costs co-citation nothing, so no K is refused for it.
+	if _, err := eng.With(simstar.WithK(2000)).AllPairs(ctx, simstar.MeasureCoCitation); err != nil {
+		t.Fatalf("cocitation at K = 2000: %v", err)
+	}
+	// One ulp below C = 1 the cap is ~3.3e17. Working it out must not step
+	// through that many powers of C: a default-K query there is answered at
+	// once on every path.
+	near := simstar.NewEngine(g, simstar.WithC(math.Nextafter(1, 0)))
+	for _, m := range []string{simstar.MeasureGeometric, simstar.MeasureExponential, simstar.MeasureRWR} {
+		if _, err := near.SingleSource(ctx, m, 0); err != nil {
+			t.Fatalf("%s SingleSource at C = 1-ulp: %v", m, err)
+		}
+		if _, err := near.SingleSourceInto(ctx, m, 0, nil); err != nil {
+			t.Fatalf("%s SingleSourceInto at C = 1-ulp: %v", m, err)
+		}
+		if _, err := near.TopKStream(ctx, m, 0, 3); err != nil {
+			t.Fatalf("%s TopKStream at C = 1-ulp: %v", m, err)
+		}
+		if err := near.BatchTopK(ctx, []simstar.Query{{Measure: m, Node: 1, K: 3}})[0].Err; err != nil {
+			t.Fatalf("%s BatchTopK at C = 1-ulp: %v", m, err)
+		}
+		if _, err := near.AllPairs(ctx, m); err != nil {
+			t.Fatalf("%s AllPairs at C = 1-ulp: %v", m, err)
+		}
+	}
+}
+
+// A workspace grown by a query past the engine's iteration count is dropped,
+// not pooled: after one K = 60 query the pool hands out workspaces of the
+// default-K size again.
+func TestHighKWorkspaceNotPooled(t *testing.T) {
+	g := parallelGraph(t, 150, 900)
+	ctx := context.Background()
+	eng := simstar.NewEngine(g, simstar.WithCacheSize(-1))
+	buf := make([]float64, g.N())
+	if _, err := eng.SingleSourceInto(ctx, simstar.MeasureGeometric, 3, buf); err != nil {
+		t.Fatal(err)
+	}
+	base := simstar.PooledWorkspaceGrows(eng)
+	if _, err := eng.With(simstar.WithK(60)).SingleSourceInto(ctx, simstar.MeasureGeometric, 3, buf); err != nil {
+		t.Fatal(err)
+	}
+	if got := simstar.PooledWorkspaceGrows(eng); got > base {
+		t.Fatalf("pooled workspace holds %d buffers after a K=60 query, default-K size is %d", got, base)
+	}
+	if raceEnabled {
+		return // sync.Pool drops items at random under -race
+	}
+	if _, err := eng.SingleSourceInto(ctx, simstar.MeasureGeometric, 3, buf); err != nil {
+		t.Fatal(err)
+	}
+	if got := simstar.PooledWorkspaceGrows(eng); got != base {
+		t.Fatalf("pooled workspace holds %d buffers, want the default-K %d", got, base)
 	}
 }

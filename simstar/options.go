@@ -1,6 +1,7 @@
 package simstar
 
 import (
+	"fmt"
 	"time"
 
 	"repro/internal/biclique"
@@ -49,7 +50,7 @@ type config struct {
 // cacheParams strips the serving knobs so that two configs computing the
 // same numbers share one result-cache key regardless of worker count,
 // cache capacity, or epoch policy. Tolerances below MinTolerance normalise
-// to 0 for the same reason: they are served by the exact kernels, so their
+// to 0 for the same reason: the kernel drops nothing below it, so their
 // results are the exact results — a distinct key would fragment the cache
 // and dodge the exact-donor probe.
 //
@@ -68,9 +69,7 @@ func (cfg config) cacheParams() config {
 	cfg.cacheSize = 0
 	cfg.epochInterval = 0
 	cfg.baseEpoch = 0
-	// Observation never changes what a query returns; stripping it also
-	// keeps batch kernel-grouping keys (which embed cacheParams) identical
-	// with and without metrics.
+	// Observation never changes what a query returns.
 	cfg.observer = nil
 	// Relabeling changes the internal layout, never the translated scores;
 	// cached vectors are stored in external id order, so the mode is a
@@ -122,6 +121,25 @@ func WithC(c float64) Option { return func(cfg *config) { cfg.c = c } }
 // Ignored when WithEps selects the count from the error bounds.
 func WithK(k int) Option { return func(cfg *config) { cfg.k = k } }
 
+// IterationsError is the error a query fails with when its effective
+// iteration count — from WithK, or derived from WithEps — is past Max, the
+// first K with C^(K+1) < 2⁻⁵³ at the query's damping factor C. Lemma 3
+// bounds the truncation error by C^(K+1), so every further term is below
+// float64 resolution: a larger K would only burn O(K²) sweeps (and grow the
+// workspace by K vectors) without changing the answer. The engine refuses
+// such a query before running any kernel rather than clamping K silently.
+type IterationsError struct {
+	// K is the effective iteration count the query asked for.
+	K int
+	// Max is the largest iteration count worth running at the query's C.
+	Max int
+}
+
+// Error reports K and the cap; simserve returns it verbatim with a 400.
+func (e *IterationsError) Error() string {
+	return fmt.Sprintf("simstar: iteration count K = %d exceeds the cap of %d for this damping factor (further terms are below float64 resolution)", e.K, e.Max)
+}
+
 // WithEps derives the iteration count from the convergence bounds instead
 // of WithK: the smallest K with Cᵏ⁺¹ <= eps (geometric) or
 // Cᵏ⁺¹/(k+1)! <= eps (exponential).
@@ -132,21 +150,22 @@ func WithEps(eps float64) Option { return func(cfg *config) { cfg.eps = eps } }
 func WithSieve(eps float64) Option { return func(cfg *config) { cfg.sieve = eps } }
 
 // MinTolerance is the smallest tolerance WithTolerance honours: below it
-// (including the zero default) queries run the exact kernels and report a
+// (including the zero default) the frontier kernel drops nothing, so
+// queries are exact — bitwise the dense reference kernels — and report a
 // zero MaxError certificate.
 const MinTolerance = sparse.MinCertTolerance
 
-// WithTolerance switches single-source queries served by an Engine to the
-// threshold-sieved approximate propagation path: each iteration drops
-// frontier entries too small to move any score by more than the remaining
-// error budget, and the result carries a certified bound MaxError <= eps on
-// the element-wise deviation from the exact kernels. The default (0) and
-// any eps below MinTolerance serve exact results with a zero certificate.
-// Only the Engine fast-path measures (geometric and exponential SimRank*,
-// their memo variants, and RWR) have a sieved path; other measures ignore
-// the tolerance and answer exactly. The tolerance is part of the
-// result-cache key: an approximate entry can only be re-served to requests
-// with the identical tolerance (exact entries satisfy any tolerance).
+// WithTolerance gives the Engine's frontier kernel an error budget: each
+// sweep drops frontier entries too small to move any score by more than
+// the remaining budget, and the result carries a certified bound
+// MaxError <= eps on the element-wise deviation from the exact answer. The
+// default (0) and any eps below MinTolerance drop nothing: the same kernel
+// answers exactly, with a zero certificate. Only the Engine fast-path
+// measures (geometric and exponential SimRank*, their memo variants, and
+// RWR) run the frontier kernel; other measures ignore the tolerance and
+// answer exactly. The tolerance is part of the result-cache key: an
+// approximate entry can only be re-served to requests with the identical
+// tolerance (exact entries satisfy any tolerance).
 func WithTolerance(eps float64) Option { return func(cfg *config) { cfg.tolerance = eps } }
 
 // RelabelMode selects the cache-conscious node relabeling an Engine applies
@@ -200,20 +219,21 @@ func WithDelta(d float64) Option { return func(cfg *config) { cfg.delta = d } }
 // Only the Engine reads it; it never changes what a query returns.
 func WithWorkers(n int) Option { return func(cfg *config) { cfg.workers = n } }
 
-// WithParallelSweeps sets the intra-query parallelism of the sparse sweep
-// kernels: each sweep of a single-source, top-k or batch query is row-range
-// partitioned across n workers drawn from a persistent per-engine pool. The
-// partition preserves per-element accumulation order, so scores — and
-// tolerance certificates — are bitwise-identical at every worker count
-// (conformance-tested for every measure); like WithWorkers it never changes
-// what a query returns and is excluded from result-cache keys.
+// WithParallelSweeps sets the intra-query parallelism of the frontier
+// kernel: each sweep of a single-source, top-k, stream or batch query is
+// partitioned by output range across n workers drawn from a persistent
+// per-engine pool. The partition preserves per-element accumulation order,
+// so scores — and tolerance certificates — are bitwise-identical at every
+// worker count (conformance-tested for every measure); like WithWorkers it
+// never changes what a query returns and is excluded from result-cache
+// keys.
 //
-// 0 (the default) and 1 serve each query on its calling goroutine, leaving
-// the blocked batch kernels' own all-core row fan-out untouched; n > 1 uses
-// exactly n workers for every sweep, including the blocked paths; a negative
-// n uses one worker per CPU. The zero-alloc discipline of the pooled serving
-// paths survives fan-out: workers are reused across queries, and a warmed
-// engine adds no per-query allocations at any setting.
+// 0 (the default) and 1 serve each sweep on the query's calling goroutine;
+// n > 1 uses exactly n workers; a negative n uses one worker per CPU.
+// Sweeps over fewer than 32 frontier entries run serially at any setting.
+// The zero-alloc discipline of the pooled serving paths survives fan-out:
+// workers are reused across queries, and a warmed engine adds no per-query
+// allocations at any setting.
 func WithParallelSweeps(n int) Option { return func(cfg *config) { cfg.parallelSweeps = n } }
 
 // sweepWorkers resolves WithParallelSweeps to an effective worker count;
@@ -253,7 +273,7 @@ func WithBaseEpoch(epoch uint64) Option { return func(cfg *config) { cfg.baseEpo
 // at query entry the engine derives a context.WithTimeout(ctx, d) and the
 // kernels' amortised cancellation polls abort the run once it expires,
 // surfacing context.DeadlineExceeded. The budget is per query (each
-// SingleSource/TopK/stream call, each blocked batch chunk), layered on top
+// SingleSource/TopK/stream call, each batch query), layered on top
 // of whatever deadline the caller's own context already carries — whichever
 // fires first wins. 0, the default, imposes no engine-side budget. A
 // deadline changes how long a query may run, never what a completed query
@@ -279,9 +299,8 @@ func WithFaultHook(fn func(site string)) Option {
 }
 
 // faultHook boxes the WithFaultHook callback behind a pointer so config
-// stays comparable (it is a map key in the result cache and the batch
-// planner's group keys); the hook itself is identity-compared, and
-// cacheParams strips it anyway.
+// stays comparable (it is a map key in the result cache); the hook itself
+// is identity-compared, and cacheParams strips it anyway.
 type faultHook struct{ fn func(site string) }
 
 // WithObserver attaches an Observer: the engine's query, cache, kernel and
@@ -302,6 +321,36 @@ func buildConfig(opts []Option) config {
 
 func (cfg config) coreOptions() core.Options {
 	return core.Options{C: cfg.c, K: cfg.k, Eps: cfg.eps, Sieve: cfg.sieve, Mine: cfg.miner.internal()}
+}
+
+// iterationsOrDefault resolves the effective iteration count with the
+// kernels' own default (K=5) applied.
+func (cfg config) iterationsOrDefault() int {
+	if k := cfg.iterations(); k > 0 {
+		return k
+	}
+	return 5
+}
+
+// checkIterations refuses an effective iteration count past the float64
+// resolution cap (see IterationsError) for a query on builtin, the
+// resolved built-in name ("" for other measures). The exponential forms
+// derive K from their own factorial bound; every other measure from the
+// geometric one. Co-citation never iterates, so K cannot cost it anything
+// and it is always served.
+func (cfg config) checkIterations(builtin string) error {
+	if builtin == MeasureCoCitation {
+		return nil
+	}
+	opt := cfg.coreOptions()
+	k := opt.IterationsGeometric()
+	if builtin == MeasureExponential || builtin == MeasureExponentialMemo {
+		k = opt.IterationsExponential()
+	}
+	if max := opt.MaxIterations(); k > max {
+		return &IterationsError{K: k, Max: max}
+	}
+	return nil
 }
 
 // iterations resolves the iteration count for measures whose options structs

@@ -78,40 +78,6 @@ func TestParallelSweepsBitwiseAllMeasures(t *testing.T) {
 	}
 }
 
-// The exact fast-path kernels — the ones WithParallelSweeps actually fans
-// out — must stay bitwise-identical on a graph large enough that every
-// worker owns a real row range.
-func TestParallelSweepsBitwiseFastPath(t *testing.T) {
-	g := parallelGraph(t, 150, 900)
-	ctx := context.Background()
-	probes := []int{0, 7, 93, 149}
-	measures := []string{
-		simstar.MeasureGeometric, simstar.MeasureGeometricMemo,
-		simstar.MeasureExponential, simstar.MeasureExponentialMemo,
-		simstar.MeasureRWR,
-	}
-	base := []simstar.Option{simstar.WithC(0.6), simstar.WithK(4), simstar.WithCacheSize(-1)}
-	serial := simstar.NewEngine(g, base...)
-	for _, name := range measures {
-		for _, q := range probes {
-			want, err := serial.SingleSource(ctx, name, q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, w := range parallelWorkerCounts() {
-				eng := simstar.NewEngine(g, append(append([]simstar.Option(nil), base...), simstar.WithParallelSweeps(w))...)
-				got, err := eng.SingleSource(ctx, name, q)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !float64sEqual(got, want) {
-					t.Fatalf("%s workers=%d q=%d: parallel scores differ from serial", name, w, q)
-				}
-			}
-		}
-	}
-}
-
 // The sieved paths must reproduce both the scores and the MaxError
 // certificate bitwise: the error budget is spent in the same order at every
 // worker count because the parallel scatter canonicalises its frontier.
@@ -144,109 +110,6 @@ func TestParallelSweepsSievedCertificatesIdentical(t *testing.T) {
 				}
 				if !float64sEqual(got, want) {
 					t.Fatalf("%s workers=%d q=%d: sieved scores differ from serial", name, w, q)
-				}
-			}
-		}
-	}
-}
-
-// Relabelled engines must stay bitwise-conformant too: the parallel sweeps
-// run on the permuted operators, and translation back to external ids is
-// order-independent.
-func TestParallelSweepsBitwiseRelabeled(t *testing.T) {
-	g := parallelGraph(t, 150, 900)
-	ctx := context.Background()
-	probes := []int{0, 7, 93, 149}
-	measures := []string{
-		simstar.MeasureGeometric, simstar.MeasureExponential, simstar.MeasureRWR,
-	}
-	for _, mode := range []simstar.RelabelMode{simstar.RelabelDegree, simstar.RelabelRCM} {
-		base := []simstar.Option{
-			simstar.WithC(0.6), simstar.WithK(4),
-			simstar.WithRelabeling(mode), simstar.WithCacheSize(-1),
-		}
-		serial := simstar.NewEngine(g, base...)
-		for _, name := range measures {
-			for _, q := range probes {
-				want, err := serial.SingleSource(ctx, name, q)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, w := range parallelWorkerCounts() {
-					eng := simstar.NewEngine(g, append(append([]simstar.Option(nil), base...), simstar.WithParallelSweeps(w))...)
-					got, err := eng.SingleSource(ctx, name, q)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !float64sEqual(got, want) {
-						t.Fatalf("mode=%d %s workers=%d q=%d: relabelled parallel scores differ", mode, name, w, q)
-					}
-				}
-			}
-		}
-	}
-}
-
-// The batch planner may reroute groups between the blocked, sieved and
-// fan-out executions, and the parallel sweeps may fan the kernels out — but
-// the answers must stay bitwise those of serial SingleSource calls.
-func TestParallelSweepsBatchBitwise(t *testing.T) {
-	g := parallelGraph(t, 150, 900)
-	ctx := context.Background()
-	base := []simstar.Option{simstar.WithC(0.6), simstar.WithK(4), simstar.WithCacheSize(-1)}
-	serial := simstar.NewEngine(g, base...)
-	var queries []simstar.Query
-	for q := 0; q < 24; q++ {
-		queries = append(queries, simstar.Query{Measure: simstar.MeasureGeometric, Node: q * 6})
-		queries = append(queries, simstar.Query{Measure: simstar.MeasureRWR, Node: q * 5})
-	}
-	queries = append(queries, simstar.Query{Measure: simstar.MeasureExponential, Node: 11})
-	for _, w := range parallelWorkerCounts() {
-		eng := simstar.NewEngine(g, append(append([]simstar.Option(nil), base...), simstar.WithParallelSweeps(w))...)
-		results := eng.MultiSource(ctx, queries)
-		for i, res := range results {
-			if res.Err != nil {
-				t.Fatal(res.Err)
-			}
-			want, err := serial.SingleSource(ctx, queries[i].Measure, queries[i].Node)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !float64sEqual(res.Scores, want) {
-				t.Fatalf("workers=%d query %d (%s, %d): batch scores differ from serial single-source",
-					w, i, queries[i].Measure, queries[i].Node)
-			}
-		}
-	}
-}
-
-// TopKStream's fused selection must hand out the same entries at every
-// worker count — the kernel underneath is bitwise-identical, so the ranking
-// and its tie-breaks are too.
-func TestParallelSweepsTopKStreamBitwise(t *testing.T) {
-	g := parallelGraph(t, 150, 900)
-	ctx := context.Background()
-	base := []simstar.Option{simstar.WithC(0.6), simstar.WithK(4), simstar.WithCacheSize(-1)}
-	serial := simstar.NewEngine(g, base...)
-	for _, name := range []string{simstar.MeasureGeometric, simstar.MeasureRWR} {
-		ws, err := serial.TopKStream(ctx, name, 7, 10)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := ws.Collect()
-		for _, w := range parallelWorkerCounts() {
-			eng := simstar.NewEngine(g, append(append([]simstar.Option(nil), base...), simstar.WithParallelSweeps(w))...)
-			gs, err := eng.TopKStream(ctx, name, 7, 10)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := gs.Collect()
-			if len(got) != len(want) {
-				t.Fatalf("%s workers=%d: stream length %d != %d", name, w, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("%s workers=%d entry %d: %+v != %+v", name, w, i, got[i], want[i])
 				}
 			}
 		}

@@ -103,42 +103,6 @@ func compareEngines(t *testing.T, ctx context.Context, plain, perm *simstar.Engi
 	}
 }
 
-// Batch queries must translate ids exactly like the single-source path, on
-// both the blocked exact kernels and the sieved approximate ones.
-func TestRelabeledBatchMatchesSingleSource(t *testing.T) {
-	g := dataset.RMATDefault(6, 4, 9)
-	ctx := context.Background()
-	for _, opts := range [][]simstar.Option{
-		{simstar.WithK(4), simstar.WithRelabeling(simstar.RelabelRCM)},
-		{simstar.WithK(4), simstar.WithRelabeling(simstar.RelabelRCM), simstar.WithTolerance(1e-4)},
-	} {
-		eng := simstar.NewEngine(g, opts...)
-		plain := simstar.NewEngine(g, opts[:len(opts)-0]...) // same opts; separate caches
-		var queries []simstar.Query
-		for q := 0; q < g.N(); q += 5 {
-			queries = append(queries,
-				simstar.Query{Measure: simstar.MeasureGeometric, Node: q},
-				simstar.Query{Measure: simstar.MeasureRWR, Node: q},
-			)
-		}
-		results := eng.MultiSource(ctx, queries)
-		for i, r := range results {
-			if r.Err != nil {
-				t.Fatal(r.Err)
-			}
-			want, err := plain.SingleSource(ctx, queries[i].Measure, queries[i].Node)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for j := range want {
-				if r.Scores[j] != want[j] {
-					t.Fatalf("query %d node %d: batch %g vs single %g", i, j, r.Scores[j], want[j])
-				}
-			}
-		}
-	}
-}
-
 // SingleSourceInto must agree exactly with SingleSource and reuse the
 // caller's buffer.
 func TestSingleSourceIntoMatchesSingleSource(t *testing.T) {

@@ -26,17 +26,17 @@ import (
 var ErrKernelPanic = errors.New("simstar: kernel panic")
 
 // FaultPointKernel is the fault site name the engine reports to WithFaultHook
-// callbacks at each kernel entry — single-source, top-k stream, and blocked
-// batch chunks alike. An Injector's Hook derives its trigger points from it
+// callbacks at each kernel entry — single-source, top-k stream and batch
+// queries alike. An Injector's Hook derives its trigger points from it
 // ("kernel.slow", "kernel.panic").
 const FaultPointKernel = "kernel"
 
-// HasCertifiedPath reports whether the named measure has a threshold-sieved
-// approximate fast path under WithTolerance — one whose results carry a
-// machine-checkable MaxError certificate. An overload governor uses this to
-// decide which queries can degrade to approximate answers without losing
-// the exactness contract silently; measures without a certified path ignore
-// WithTolerance and always answer exactly.
+// HasCertifiedPath reports whether the named measure runs the engine's
+// frontier kernel, which under WithTolerance drops mass against an error
+// budget and returns a machine-checkable MaxError certificate. An overload
+// governor uses this to decide which queries can degrade to approximate
+// answers without losing the exactness contract silently; measures without
+// a certified path ignore WithTolerance and always answer exactly.
 func HasCertifiedPath(measureName string) bool {
 	return fastPathKernel(builtinFor(measureName))
 }

@@ -22,21 +22,22 @@
 // pinned at entry. Engine.Snapshot/WriteSnapshot/ReadSnapshot persist an
 // epoch for warm restarts.
 //
-// Queries can trade a bounded amount of accuracy for speed: WithTolerance
-// routes the single-source fast paths through threshold-sieved sparse
-// propagation, where each sweep drops mass that provably cannot move any
-// score past the remaining error budget. Every result then carries a
-// certified bound — Engine.SingleSourceCertified and Result.MaxError
-// report MaxError with |approx − exact| <= MaxError <= eps element-wise —
-// while the default (no tolerance) stays bitwise-identical to the exact
-// kernels. The result cache keys on the tolerance, so an approximate entry
-// can never serve a tighter request.
+// The Engine answers every single-source query on the SimRank* and RWR
+// measures with one frontier kernel, which propagates only the mass the
+// walk actually reaches. Queries can trade a bounded amount of accuracy
+// for speed: WithTolerance lets each sweep drop mass that provably cannot
+// move any score past the remaining error budget. Every result then
+// carries a certified bound — Engine.SingleSourceCertified and
+// Result.MaxError report MaxError with |approx − exact| <= MaxError <= eps
+// element-wise — while the default (no tolerance) drops nothing and stays
+// bitwise-identical to the dense reference kernels. The result cache keys
+// on the tolerance, so an approximate entry can never serve a tighter
+// request.
 //
 // On top of the Engine sits the batch layer a serving system talks to:
 // MultiSource and BatchTopK answer many single-source queries in one call,
-// serving repeats from a size-bounded LRU result cache, stacking
-// same-measure queries into blocked kernels (one sparse sweep per iteration
-// for the whole block), and fanning the rest across a worker pool. Batching
+// serving repeats from a size-bounded LRU result cache, computing
+// duplicates once, and fanning the rest across a worker pool. Batching
 // changes the cost of a query, never its answer. cmd/simserve exposes all
 // of this over HTTP/JSON; ARCHITECTURE.md in the repository root draws the
 // full picture.
